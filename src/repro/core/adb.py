@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..relational.database import Database
 from ..relational.inverted import InvertedColumnIndex
 from .config import SquidConfig
-from .derived import materialize_all
+from .derived import materialize, materialize_all
 from .discovery import DiscoveryResult, discover_families
 from .metadata import AdbMetadata, EntitySpec
 from .properties import FamilyKind, PropertyFamily
@@ -254,9 +254,6 @@ class AbductionReadyDatabase:
         ``None`` everything is rebuilt.  Returns counters describing the
         amount of work done.
         """
-        from .derived import materialize
-        from .statistics import compute_statistics
-
         all_tables = changed_tables is None
         changed = set(changed_tables or [])
 
@@ -293,8 +290,6 @@ class AbductionReadyDatabase:
 
         entity_tables = {spec.table for spec in self.metadata.entities}
         if all_tables or (changed & entity_tables):
-            from ..relational.inverted import InvertedColumnIndex
-
             self.inverted = InvertedColumnIndex(
                 self.db, tables=sorted(entity_tables)
             )

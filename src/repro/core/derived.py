@@ -10,20 +10,25 @@ pattern::
        WHERE castinfo.movie_id = movietogenre.movie_id
        GROUP BY person_id, genre_id)
 
-Counting is vectorised with numpy: (entity, value) pairs are encoded as
-composite int64 keys and reduced with ``np.unique(return_counts=True)``,
-which keeps offline construction fast even for the scaled IMDb variants.
+Materialisation is columnar numpy work from end to end: the (entity,
+value) occurrence pairs are collected from the fact table's cached column
+arrays (mask filters, a ``searchsorted`` probe of the mid table's primary
+key, an equi-join against the second fact table), grouped through dense
+order-preserving codes, and loaded with one
+:meth:`~repro.relational.relation.Relation.append_columns` batch.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..relational.database import Database
+from ..relational.relation import Relation
 from ..relational.schema import ColumnDef, TableSchema
 from ..relational.types import ColumnType
+from ..sql.engine.kernels import equi_join, join_sorted
 from .discovery import DerivedRecipe
 
 
@@ -35,7 +40,6 @@ def materialize_all(database: Database, recipes: Sequence[DerivedRecipe]) -> Lis
 def materialize(database: Database, recipe: DerivedRecipe) -> str:
     """Materialise one derived relation; returns its name."""
     entity_keys, values = _collect_pairs(database, recipe)
-    rows = _count_pairs(entity_keys, values)
     schema = TableSchema(
         recipe.name,
         [
@@ -47,93 +51,83 @@ def materialize(database: Database, recipe: DerivedRecipe) -> str:
     if recipe.name in database:
         database.drop_table(recipe.name)
     relation = database.create_table(schema)
-    relation.extend(rows)
+    relation.append_columns(_count_pairs(entity_keys, values))
     return recipe.name
 
 
 def _collect_pairs(
     database: Database, recipe: DerivedRecipe
-) -> Tuple[List[Any], List[Any]]:
-    """(entity_key, value) occurrence lists for one recipe."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Parallel (entity_key, value) occurrence arrays for one recipe, in
+    fact-row order (chain hits in second-fact row order per fact row)."""
     fact = database.relation(recipe.fact_table)
-    entity_col = fact.column(recipe.fact_entity_col)
-    mid_col = fact.column(recipe.fact_mid_col)
-    qualifier_col = (
-        fact.column(recipe.qualifier_col) if recipe.qualifier_col else None
-    )
-
-    def fact_rows():
-        for rid in fact.row_ids():
-            if entity_col[rid] is None or mid_col[rid] is None:
-                continue
-            if (
-                qualifier_col is not None
-                and qualifier_col[rid] != recipe.qualifier_value
-            ):
-                continue
-            yield rid
+    entity = fact.column_array(recipe.fact_entity_col)
+    mid = fact.column_array(recipe.fact_mid_col)
+    keep = entity.mask & mid.mask
+    if recipe.qualifier_col:
+        # Discovery only sets a qualifier with a non-NULL value.
+        qualifier = fact.column_array(recipe.qualifier_col)
+        keep &= qualifier.mask & (qualifier.values == recipe.qualifier_value)
+    rows = np.nonzero(keep)[0]
+    keys = entity.values[rows]
+    mids = mid.values[rows]
 
     if recipe.kind == "entity":
-        keys, values = [], []
-        for rid in fact_rows():
-            keys.append(entity_col[rid])
-            values.append(mid_col[rid])
-        return keys, values
+        return keys, mids
 
     if recipe.kind in ("mid_attr", "mid_fk"):
-        mid = database.relation(recipe.mid_table)
-        attr_store = mid.column(recipe.mid_attr)
-        pk_lookup = mid.lookup_pk
-        keys, values = [], []
-        for rid in fact_rows():
-            mid_rid = pk_lookup(mid_col[rid])
-            if mid_rid is None:
-                continue
-            value = attr_store[mid_rid]
-            if value is None:
-                continue
-            keys.append(entity_col[rid])
-            values.append(value)
-        return keys, values
+        table = database.relation(recipe.mid_table)
+        pk = table.sorted_view(table.schema.primary_key)
+        hit, pos = join_sorted(mids, pk.values)
+        return _present(keys[hit], table, recipe.mid_attr, pk.row_ids[pos])
 
     if recipe.kind == "chain":
         second = database.relation(recipe.second_fact_table)
-        index = database.hash_index(
-            recipe.second_fact_table, recipe.second_fact_mid_col
+        link = second.column_array(recipe.second_fact_mid_col)
+        link_rids = np.nonzero(link.mask)[0]
+        hit, build_idx = equi_join(mids, link.values[link_rids])
+        return _present(
+            keys[hit], second, recipe.second_fact_dim_col, link_rids[build_idx]
         )
-        dim_store = second.column(recipe.second_fact_dim_col)
-        keys, values = [], []
-        for rid in fact_rows():
-            for second_rid in index.lookup(mid_col[rid]):
-                value = dim_store[second_rid]
-                if value is None:
-                    continue
-                keys.append(entity_col[rid])
-                values.append(value)
-        return keys, values
 
     raise ValueError(f"unknown recipe kind {recipe.kind!r}")
 
 
-def _count_pairs(keys: List[Any], values: List[Any]) -> List[Tuple[Any, Any, int]]:
-    """GROUP BY (key, value) with count(*), vectorised when values are ints."""
-    if not keys:
-        return []
-    if isinstance(values[0], (int, np.integer)) and not isinstance(values[0], bool):
-        karr = np.asarray(keys, dtype=np.int64)
-        varr = np.asarray(values, dtype=np.int64)
-        vmin = int(varr.min())
-        span = int(varr.max()) - vmin + 1
-        composite = karr * span + (varr - vmin)
-        uniq, counts = np.unique(composite, return_counts=True)
-        out_keys = uniq // span
-        out_values = uniq % span + vmin
-        return [
-            (int(k), int(v), int(c))
-            for k, v, c in zip(out_keys, out_values, counts)
-        ]
-    counter: Dict[Tuple[Any, Any], int] = {}
-    for key, value in zip(keys, values):
-        pair = (key, value)
-        counter[pair] = counter.get(pair, 0) + 1
-    return [(k, v, c) for (k, v), c in sorted(counter.items(), key=lambda kv: repr(kv[0]))]
+def _present(
+    keys: np.ndarray, relation: Relation, column: str, row_ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``keys`` paired with ``relation.column`` at ``row_ids``, dropping
+    pairs whose value is NULL."""
+    arr = relation.column_array(column)
+    present = arr.mask[row_ids]
+    return keys[present], arr.values[row_ids[present]]
+
+
+def _count_pairs(
+    keys: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GROUP BY (key, value) with count(*), as (key, value, count) columns.
+
+    Pairs are encoded through dense order-preserving codes, so the
+    composite key stays within ``len(keys) ** 2`` whatever the value
+    range.  Rows come out sorted by (key, value) for integer values and
+    by the ``repr`` of the (key, value) pair otherwise.
+    """
+    if keys.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    key_uniques, key_codes = np.unique(keys, return_inverse=True)
+    value_uniques, value_codes = np.unique(values, return_inverse=True)
+    span = len(value_uniques)
+    if np.log2(len(key_uniques)) + np.log2(span) > 62:
+        raise OverflowError("(key, value) code space exceeds int64")
+    composite = key_codes.astype(np.int64) * span + value_codes
+    pairs, counts = np.unique(composite, return_counts=True)
+    out_keys = key_uniques[pairs // span]
+    out_values = value_uniques[pairs % span]
+    first = values[0]
+    if isinstance(first, bool) or not isinstance(first, (int, np.integer)):
+        reprs = [repr(pair) for pair in zip(out_keys.tolist(), out_values.tolist())]
+        order = np.asarray(sorted(range(len(reprs)), key=reprs.__getitem__))
+        out_keys, out_values, counts = out_keys[order], out_values[order], counts[order]
+    return out_keys, out_values, counts.astype(np.int64, copy=False)

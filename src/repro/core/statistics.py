@@ -246,14 +246,16 @@ def _derived_stats(
     strengths: Dict[Any, np.ndarray] = {}
     valid = np.nonzero(codes >= 0)[0]
     if valid.size:
-        theta = count_arr.values[valid].astype(float, copy=False)
-        order = np.argsort(codes[valid], kind="stable")
-        sorted_codes = codes[valid][order]
-        sorted_theta = theta[order]
-        boundaries = np.nonzero(np.diff(sorted_codes))[0] + 1
-        chunk_starts = np.concatenate(([0], boundaries))
-        for start, chunk in zip(
-            chunk_starts, np.split(sorted_theta, boundaries)
+        # One sort by (value code, θ); each value's strengths are then a
+        # contiguous ascending slice.
+        codes = codes[valid]
+        theta = count_arr.values[valid].astype(float)
+        order = np.lexsort((theta, codes))
+        codes, theta = codes[order], theta[order]
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        ends = np.append(starts[1:], codes.size)
+        for code, start, end in zip(
+            codes[starts].tolist(), starts.tolist(), ends.tolist()
         ):
-            strengths[uniques[sorted_codes[start]]] = np.sort(chunk)
+            strengths[uniques[code]] = theta[start:end]
     return DerivedStats(entity_count=entity_count, strengths=strengths)

@@ -6,17 +6,29 @@ lets statistics code hand columns to numpy without a transpose.
 
 For the vectorized execution backend the relation additionally exposes
 cached numpy *array views* of its columns (:meth:`Relation.column_array`,
-:meth:`Relation.sorted_view`).  Views are built lazily on first use and
-invalidated whenever the relation mutates; the ``version`` counter (plus a
-process-unique ``uid``) lets downstream caches — the SQLite backend's
-loaded-table mirror, the shared query-result cache — detect staleness
-without subscribing to mutation events.
+:meth:`Relation.sorted_view`).  Views are built lazily on first use (or
+handed over by a bulk :meth:`Relation.append_columns` into an empty
+relation) and invalidated whenever the relation mutates; the ``version``
+counter (plus a process-unique ``uid``) lets downstream caches — the
+SQLite backend's loaded-table mirror, the shared query-result cache —
+detect staleness without subscribing to mutation events.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -75,36 +87,8 @@ class Relation:
     # ------------------------------------------------------------------
     def insert(self, row: Sequence[Any]) -> int:
         """Append one tuple (declaration order); returns its row id."""
-        if len(row) != len(self._columns):
-            raise SchemaError(
-                f"{self.schema.name}: expected {len(self._columns)} values, "
-                f"got {len(row)}"
-            )
-        values = [
-            coerce_value(value, col.ctype)
-            for value, col in zip(row, self.schema.columns)
-        ]
-        for value, col in zip(values, self.schema.columns):
-            if value is None and not col.nullable:
-                raise IntegrityError(
-                    f"{self.schema.name}.{col.name} is NOT NULL"
-                )
-        rid = len(self._columns[0]) if self._columns else 0
-        if self._pk_map is not None:
-            key = values[self._pk_pos]
-            if key in self._pk_map:
-                raise IntegrityError(
-                    f"duplicate primary key {key!r} in {self.schema.name}"
-                )
-            self._pk_map[key] = rid
-        for store, value in zip(self._columns, values):
-            store.append(value)
-        self._version += 1
-        if self._array_cache:
-            self._array_cache.clear()
-        if self._sorted_cache:
-            self._sorted_cache.clear()
-        return rid
+        self.extend([row])
+        return len(self) - 1
 
     def insert_dict(self, row: Dict[str, Any]) -> int:
         """Append one tuple given as a ``{column: value}`` mapping."""
@@ -115,9 +99,78 @@ class Relation:
         return self.insert(ordered)
 
     def extend(self, rows: Iterable[Sequence[Any]]) -> None:
-        """Bulk append tuples."""
-        for row in rows:
-            self.insert(row)
+        """Bulk append tuples as one :meth:`append_columns` batch."""
+        batch = [tuple(row) for row in rows]
+        width = len(self._columns)
+        for row in batch:
+            if len(row) != width:
+                raise SchemaError(
+                    f"{self.schema.name}: expected {width} values, got {len(row)}"
+                )
+        if batch:
+            self.append_columns(list(zip(*batch)))
+
+    def append_columns(
+        self, columns: Sequence[Union[Sequence[Any], np.ndarray]]
+    ) -> range:
+        """Append a batch of tuples given column-wise; returns their row ids.
+
+        Every mutation goes through here.  The batch is checked for
+        arity, type coercion, NOT NULL and primary-key uniqueness (within
+        the batch and against stored rows) in full before anything is
+        stored, so a rejected batch leaves the relation unchanged.
+        ``version`` bumps once per non-empty batch.  Values are stored as
+        Python scalars.
+
+        A numpy array whose dtype already proves the column type (an
+        integer array for INT, a float array for FLOAT) skips the
+        per-value coercion; such an array cannot hold NULL.  When the
+        relation was empty, those arrays also become its cached
+        :meth:`column_array` views.
+        """
+        name = self.schema.name
+        if len(columns) != len(self._columns):
+            raise SchemaError(
+                f"{name}: expected {len(self._columns)} columns, got {len(columns)}"
+            )
+        n = len(columns[0]) if columns else 0
+        if any(len(values) != n for values in columns):
+            raise SchemaError(f"{name}: columns of unequal length")
+        start = len(self)
+        if n == 0:
+            return range(start, start)
+        batch: List[List[Any]] = []
+        views: Dict[str, ColumnArray] = {}
+        for col, values in zip(self.schema.columns, columns):
+            proven = _proven_array(values, col.ctype)
+            if proven is not None:
+                batch.append(proven.tolist())
+                views[col.name] = ColumnArray(
+                    values=proven, mask=np.ones(n, dtype=bool)
+                )
+                continue
+            raw = values.tolist() if isinstance(values, np.ndarray) else values
+            coerced = [coerce_value(value, col.ctype) for value in raw]
+            if not col.nullable and any(value is None for value in coerced):
+                raise IntegrityError(f"{name}.{col.name} is NOT NULL")
+            batch.append(coerced)
+        new_keys: Dict[Any, int] = {}
+        if self._pk_map is not None:
+            for rid, key in enumerate(batch[self._pk_pos], start):
+                if key in self._pk_map or key in new_keys:
+                    raise IntegrityError(
+                        f"duplicate primary key {key!r} in {name}"
+                    )
+                new_keys[key] = rid
+            self._pk_map.update(new_keys)
+        for store, values in zip(self._columns, batch):
+            store.extend(values)
+        self._version += 1
+        self._array_cache.clear()
+        self._sorted_cache.clear()
+        if start == 0:
+            self._array_cache.update(views)
+        return range(start, start + n)
 
     # ------------------------------------------------------------------
     # access
@@ -174,7 +227,7 @@ class Relation:
 
     @property
     def version(self) -> int:
-        """Mutation counter; bumps on every insert."""
+        """Mutation counter; bumps on every insert and every bulk batch."""
         return self._version
 
     def column_array(self, name: str) -> ColumnArray:
@@ -241,3 +294,22 @@ class Relation:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Relation({self.schema.name}, rows={len(self)})"
+
+
+def _proven_array(
+    values: Union[Sequence[Any], np.ndarray], ctype: ColumnType
+) -> Optional[np.ndarray]:
+    """``values`` as a fresh int64/float64 array when its dtype alone
+    proves every element is a valid non-NULL ``ctype`` value, else None.
+
+    Booleans are excluded (``True`` is not an INT), as are integer dtypes
+    wider than int64.
+    """
+    if not isinstance(values, np.ndarray) or values.ndim != 1:
+        return None
+    kind = values.dtype.kind
+    if ctype is ColumnType.INT and kind in "iu" and np.can_cast(values.dtype, np.int64):
+        return values.astype(np.int64)
+    if ctype is ColumnType.FLOAT and kind == "f" and np.can_cast(values.dtype, np.float64):
+        return values.astype(np.float64)
+    return None

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.core import discover_families
-from repro.core.derived import materialize, materialize_all
+from repro.core.derived import _count_pairs, materialize, materialize_all
+from repro.datasets import dblp, imdb
+from repro.relational import ColumnType
+from repro.sql import ColumnRef, JoinCondition, Op, Predicate, Query, TableRef, execute
 
+from ..conftest import build_mini_movies_db
 from .conftest import mini_movies_metadata
 
 
@@ -84,18 +91,91 @@ class TestRematerialize:
         assert derived_rows(db, "persontogenre") == before
 
 
+def sql_pair_counts(db, recipe) -> Counter:
+    """The recipe as the interpreted engine's join, with count(*) per
+    non-NULL (key, value) pair."""
+    fact = recipe.fact_table
+    tables = [TableRef(fact)]
+    joins = []
+    predicates = []
+    if recipe.qualifier_col:
+        predicates.append(
+            Predicate(
+                ColumnRef(fact, recipe.qualifier_col), Op.EQ, recipe.qualifier_value
+            )
+        )
+    if recipe.kind == "entity":
+        value = ColumnRef(fact, recipe.fact_mid_col)
+    elif recipe.kind in ("mid_attr", "mid_fk"):
+        tables.append(TableRef(recipe.mid_table))
+        joins.append(
+            JoinCondition(
+                ColumnRef(fact, recipe.fact_mid_col),
+                ColumnRef(recipe.mid_table, recipe.mid_key),
+            )
+        )
+        value = ColumnRef(recipe.mid_table, recipe.mid_attr)
+    else:
+        second = recipe.second_fact_table
+        tables.append(TableRef(second))
+        joins.append(
+            JoinCondition(
+                ColumnRef(fact, recipe.fact_mid_col),
+                ColumnRef(second, recipe.second_fact_mid_col),
+            )
+        )
+        value = ColumnRef(second, recipe.second_fact_dim_col)
+    query = Query(
+        select=(ColumnRef(fact, recipe.fact_entity_col), value),
+        tables=tuple(tables),
+        joins=tuple(joins),
+        predicates=tuple(predicates),
+        distinct=False,
+    )
+    rows = execute(db, query).rows
+    return Counter((k, v) for k, v in rows if k is not None and v is not None)
+
+
+def null_movies_db():
+    """The mini movie database plus NULLs and dangling references in every
+    column a recipe reads."""
+    db = build_mini_movies_db()
+    db.insert("person", (7, "No Gender", None, None))
+    db.insert("movie", (9, "No Year", None))
+    for row in [
+        (100, None, 1),  # NULL entity
+        (101, 1, None),  # NULL mid
+        (102, 2, 999),  # dangling mid
+        (103, 7, 9),  # person without gender, movie without year/genre
+        (104, 1, 9),
+    ]:
+        db.insert("castinfo", row)
+    for row in [(100, 9, None), (101, None, 1), (102, 999, 2)]:
+        db.insert("movietogenre", row)
+    return db
+
+
+DATASETS = {
+    "imdb": (lambda: imdb.generate(imdb.ImdbSize.small()), imdb.metadata),
+    "dblp": (lambda: dblp.generate(dblp.DblpSize.small()), dblp.metadata),
+    "nulls": (null_movies_db, mini_movies_metadata),
+}
+PYTHON_TYPES = {ColumnType.INT: int, ColumnType.TEXT: str, ColumnType.FLOAT: float}
+
+
+@pytest.fixture(scope="module", params=sorted(DATASETS))
+def built(request):
+    generate, metadata = DATASETS[request.param]
+    db = generate()
+    result = discover_families(db, metadata())
+    materialize_all(db, result.recipes)
+    return db, result.recipes
+
+
 class TestEquivalenceWithSql:
     def test_chain_recipe_matches_q6_aggregation(self, materialized):
         """persontogenre must equal the paper's Q6 GROUP BY query."""
         db, _ = materialized
-        from repro.sql import (
-            ColumnRef,
-            JoinCondition,
-            Query,
-            TableRef,
-            execute,
-        )
-
         query = Query(
             select=(
                 ColumnRef("castinfo", "person_id"),
@@ -115,3 +195,75 @@ class TestEquivalenceWithSql:
         for person_id, genre_id in result.rows:
             counts[(person_id, genre_id)] = counts.get((person_id, genre_id), 0) + 1
         assert counts == derived_rows(db, "persontogenre")
+
+    def test_every_recipe_matches_join_and_count(self, built):
+        db, recipes = built
+        assert recipes
+        for recipe in recipes:
+            rows = list(db.relation(recipe.name).rows())
+            pairs = [(k, v) for k, v, _ in rows]
+            assert len(set(pairs)) == len(pairs), recipe.name
+            derived = Counter({(k, v): c for k, v, c in rows})
+            assert derived == sql_pair_counts(db, recipe), recipe.name
+            value_type = PYTHON_TYPES[recipe.value_ctype]
+            for k, v, c in rows:
+                assert (type(k), type(v), type(c)) == (int, value_type, int)
+            if recipe.value_ctype is ColumnType.INT:
+                assert pairs == sorted(pairs), recipe.name
+            else:
+                assert pairs == sorted(pairs, key=repr), recipe.name
+
+    def test_recipe_kinds_covered(self):
+        shapes = set()
+        for name, (generate, metadata) in DATASETS.items():
+            for recipe in discover_families(generate(), metadata()).recipes:
+                shapes.add(
+                    (recipe.kind, bool(recipe.qualifier_col), recipe.value_ctype)
+                )
+        INT, TEXT = ColumnType.INT, ColumnType.TEXT
+        assert {
+            ("entity", False, INT),
+            ("entity", True, INT),
+            ("mid_attr", False, INT),
+            ("mid_attr", False, TEXT),
+            ("mid_fk", False, INT),
+            ("chain", False, INT),
+        } <= shapes
+
+    def test_null_scenario_drops_null_and_dangling_pairs(self):
+        db = null_movies_db()
+        result = discover_families(db, mini_movies_metadata())
+        materialize_all(db, result.recipes)
+        genre = derived_rows(db, "persontogenre")
+        assert (1, 1) in genre and all(k is not None for k, _ in genre)
+        assert not any(k == 7 for k, _ in genre)  # movie 9 has only a NULL genre
+        assert (2, 999) in derived_rows(db, "persontomovie")
+        assert not any(v == 999 for _, v in derived_rows(db, "persontomovie_year"))
+
+
+class TestCountPairs:
+    def columns(self, keys, values):
+        return list(zip(*(col.tolist() for col in _count_pairs(keys, values))))
+
+    def test_large_keys_do_not_overflow(self):
+        keys = np.array([2**40, 2**40 + 1])
+        values = np.array([0, 2**30])
+        assert self.columns(keys, values) == [(2**40, 0, 1), (2**40 + 1, 2**30, 1)]
+
+    def test_value_span_wider_than_int64(self):
+        keys = np.array([1, 1, 2, 1])
+        values = np.array([-(2**63), 2**70, -(2**63), 2**70], dtype=object)
+        assert self.columns(keys, values) == [
+            (1, -(2**63), 1),
+            (1, 2**70, 2),
+            (2, -(2**63), 1),
+        ]
+
+    def test_text_values_in_repr_order(self):
+        keys = np.array([10, 2, 10, 2])
+        values = np.array(["b", "a", "b", "c"], dtype=object)
+        assert self.columns(keys, values) == [(10, "b", 2), (2, "a", 1), (2, "c", 1)]
+
+    def test_empty(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert self.columns(empty, empty) == []

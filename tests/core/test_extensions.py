@@ -3,15 +3,19 @@ incremental αDB maintenance, and example recommendation (§9)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
+    AbductionReadyDatabase,
     SquidConfig,
     SquidSystem,
     borderline_decisions,
     discover_contexts,
     recommend_examples,
 )
+from repro.core.statistics import CategoricalStats, DerivedStats, NumericStats
+from repro.datasets import imdb
 from repro.sql import Op, format_query
 
 
@@ -134,6 +138,78 @@ class TestAdbRefresh:
         squid = SquidSystem(mini_adb)
         result = squid.discover(["Fresh Face", "Jim Carrey"])
         assert set(result.entity_keys) == {102, 1}
+
+
+def _mutate_imdb(db, tables) -> None:
+    """Insert rows into each of ``tables`` (castinfo, the dimension fact
+    movietogenre, the entity table movie).  One castinfo row gives an
+    existing person a role they never held."""
+    castinfo = db.relation("castinfo")
+    held = set(zip(castinfo.column("person_id"), castinfo.column("role_id")))
+    person, role = next(
+        (p, r) for p in range(1, 50) for r in range(1, 9) if (p, r) not in held
+    )
+    movie = 5
+    if "movie" in tables:
+        movie = max(db.relation("movie").column("id")) + 1
+        db.bulk_load("movie", [(movie, "A Fresh Release", 2021, 95, 1000, None)])
+    if "castinfo" in tables:
+        cast = max(castinfo.column("id")) + 1
+        db.bulk_load(
+            "castinfo",
+            [(cast, 1, movie, 1), (cast + 1, 2, movie, 3), (cast + 2, person, 5, role)],
+        )
+    if "movietogenre" in tables:
+        link = max(db.relation("movietogenre").column("id")) + 1
+        db.bulk_load("movietogenre", [(link, movie, 1), (link + 1, 7, 2)])
+
+
+def _assert_same_stats(got, want, label) -> None:
+    assert type(got) is type(want), label
+    assert got.entity_count == want.entity_count, label
+    if isinstance(want, CategoricalStats):
+        assert got.value_counts == want.value_counts, label
+    elif isinstance(want, NumericStats):
+        np.testing.assert_array_equal(got.sorted_values, want.sorted_values)
+    else:
+        assert isinstance(want, DerivedStats)
+        assert list(got.strengths) == list(want.strengths), label
+        for value, arr in want.strengths.items():
+            assert got.strengths[value].dtype == arr.dtype, (label, value)
+            np.testing.assert_array_equal(got.strengths[value], arr)
+
+
+class TestRefreshMatchesBuild:
+    @pytest.mark.parametrize(
+        "changed",
+        [["castinfo", "movietogenre", "movie"], ["movietogenre"], ["castinfo"]],
+    )
+    def test_refresh_equals_from_scratch_build(self, changed):
+        size = imdb.ImdbSize.small()
+        refreshed = AbductionReadyDatabase.build(imdb.generate(size), imdb.metadata())
+        _mutate_imdb(refreshed.db, changed)
+        report = refreshed.refresh(changed)
+        assert report["rematerialized_relations"] > 0
+
+        scratch_db = imdb.generate(size)
+        _mutate_imdb(scratch_db, changed)
+        scratch = AbductionReadyDatabase.build(scratch_db, imdb.metadata())
+
+        names = [recipe.name for recipe in scratch.discovery.recipes]
+        assert [recipe.name for recipe in refreshed.discovery.recipes] == names
+        for name in names:
+            got = list(refreshed.db.relation(name).rows())
+            want = list(scratch.db.relation(name).rows())
+            assert got == want, name
+            assert [tuple(map(type, row)) for row in got] == [
+                tuple(map(type, row)) for row in want
+            ], name
+        families = scratch.discovery.families
+        assert [f.key for f in refreshed.discovery.families] == [f.key for f in families]
+        for family in families:
+            _assert_same_stats(
+                refreshed.statistics.get(family), scratch.statistics.get(family), family.key
+            )
 
 
 class TestRecommendation:
