@@ -1,47 +1,28 @@
-"""Serving throughput: persistent pool vs PR 2's per-batch executor.
+"""Serving: concurrent requests vs the sequential loop.
 
-The serving tier's traffic shape is many *small* batches — each request
-is one example set — which is exactly where PR 2's throwaway
-``ProcessPoolExecutor`` hurts: every batch re-forks the workers, ships
-the warm αDB again through fresh copy-on-write page tables, and every
-child re-runs entity lookup for every set it touches.  The persistent
-:class:`~repro.core.workers.WorkerPool` pays all of that once.
-
-Two measurements over identically generated IMDb data:
-
-* **pool vs throwaway** — the same stream of small batches through one
-  session with ``persistent_pool=True`` vs ``False`` (both
-  ``executor="process"``, same jobs).  Outcomes must be identical; the
-  ≥ 1.3x throughput floor is enforced at the ``medium`` profile (the
-  recorded reproduction scale: 6.4x) and whenever ``REPRO_BENCH_GATE=1``
-  (the CI smoke job at ``small``, recorded 5.2x — margin enough that
-  runner noise cannot trip it).
-* **concurrent serving vs the sequential loop** — a
-  :class:`~repro.serve.DiscoveryServer` answering a large distinct
-  request stream ``CONCURRENCY``-way concurrent, byte-compared against
-  :func:`~repro.serve.sequential_response`.  The byte-identity
-  assertion runs at every profile — it is the serving correctness
-  contract.  The concurrent-vs-sequential speedup is recorded (≈1.1x
-  at ``medium`` with the default thread pool: per-request wall is a few
-  milliseconds and largely GIL-bound, so overlap buys little on one
-  process) and gated only against a generous regression floor — a drop
-  below it means concurrency went *serialised* (a lock held across a
-  request, a pool deadlock), which is the failure mode worth catching.
-  The ≥ 1.3x *throughput* acceptance gate lives on the pool-vs-throwaway
-  measurement above, where the margin is 4x+.
+A :class:`~repro.serve.DiscoveryServer` answers a large distinct request
+stream ``CONCURRENCY``-way concurrent over generated IMDb data,
+byte-compared against :func:`~repro.serve.sequential_response`.  The
+byte-identity assertion runs at every profile — it is the serving
+correctness contract.  The concurrent-vs-sequential speedup is recorded
+(≈1.1x at ``medium`` with the default thread pool: per-request wall is a
+few milliseconds and largely GIL-bound, so overlap buys little on one
+process) and gated only against a generous regression floor — a drop
+below it means concurrency went *serialised* (a lock held across a
+request, a pool deadlock), which is the failure mode worth catching.
+A synthetic request stream replays the same contract on a
+:mod:`repro.synth` scenario.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
-import os
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import pytest
 
-from repro.core import DiscoverySession, SquidConfig, SquidSystem
+from repro.core import SquidConfig, SquidSystem
 from repro.datasets import imdb
 from repro.eval import emit, format_table, latency_summary
 from repro.eval.sampling import sample_example_sets
@@ -63,16 +44,11 @@ from conftest import PROFILE, profile_sizes
 
 SEED = 11
 JOBS = 2
-SETS_PER_BATCH = 2
-POOL_SPEEDUP_FLOOR = 1.3
 #: Regression floor, not a speed target: concurrent admission must never
 #: serialise (ratios land ≈1.0–1.2 on an idle machine; a lock held
 #: across requests or a deadlocked pool lands far below).
 SERVE_SPEEDUP_FLOOR = 0.6
 CONCURRENCY = 8
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-GATED = os.environ.get("REPRO_BENCH_GATE") == "1"
 
 
 def _fresh_system() -> SquidSystem:
@@ -82,91 +58,6 @@ def _fresh_system() -> SquidSystem:
     return SquidSystem.build(
         imdb.generate(size), imdb.metadata(), SquidConfig(analyze=True)
     )
-
-
-def _request_stream(squid: SquidSystem) -> List[List[List[str]]]:
-    """Serving-shaped traffic: many tiny batches over the workloads."""
-    registry = imdb_queries.build_registry()
-    sets: List[List[str]] = []
-    for workload in registry:
-        values = workload.ground_truth_examples(squid.adb.db)
-        sets.extend(sample_example_sets(values, 4, 4, SEED))
-    return [
-        sets[i : i + SETS_PER_BATCH]
-        for i in range(0, len(sets), SETS_PER_BATCH)
-    ]
-
-
-def _signature(outcomes) -> List:
-    return [
-        (o.result.sql, tuple(o.result.entity_keys))
-        if o.ok
-        else type(o.error).__name__
-        for o in outcomes
-    ]
-
-
-def _drive(session: DiscoverySession, batches) -> Tuple[List, float, int]:
-    session.warm()
-    session.start_pool()
-    signatures: List = []
-    sets_served = 0
-    start = time.perf_counter()
-    for batch in batches:
-        outcomes = session.discover_many(batch)
-        signatures.extend(_signature(outcomes))
-        sets_served += len(outcomes)
-    elapsed = time.perf_counter() - start
-    session.close()
-    return signatures, elapsed, sets_served
-
-
-@pytest.mark.benchmark(group="serving")
-@pytest.mark.skipif(not HAS_FORK, reason="process executor needs fork")
-def test_persistent_pool_vs_throwaway_executor(benchmark):
-    def run():
-        squid = _fresh_system()
-        batches = _request_stream(squid)
-        throwaway = DiscoverySession(
-            squid, jobs=JOBS, executor="process", persistent_pool=False
-        )
-        old_sig, old_s, sets_served = _drive(throwaway, batches)
-        persistent = DiscoverySession(
-            squid, jobs=JOBS, executor="process", persistent_pool=True
-        )
-        new_sig, new_s, _ = _drive(persistent, batches)
-        return old_sig, old_s, new_sig, new_s, len(batches), sets_served
-
-    old_sig, old_s, new_sig, new_s, num_batches, sets_served = (
-        benchmark.pedantic(run, rounds=1, iterations=1)
-    )
-    speedup = old_s / new_s
-    emit(
-        "serving_pool",
-        format_table(
-            [
-                {
-                    "profile": PROFILE,
-                    "batches": num_batches,
-                    "sets": sets_served,
-                    "throwaway_s": round(old_s, 3),
-                    "persistent_s": round(new_s, 3),
-                    "speedup": round(speedup, 2),
-                    "throughput_sets_per_s": round(sets_served / new_s, 1),
-                }
-            ],
-            title="Persistent worker pool vs per-batch process executor "
-            "(IMDb request stream)",
-        ),
-    )
-    # execution strategy, never a semantics change
-    assert new_sig == old_sig
-    if PROFILE == "medium" or GATED:
-        assert speedup >= POOL_SPEEDUP_FLOOR, (
-            f"persistent pool {new_s:.3f}s vs throwaway executor "
-            f"{old_s:.3f}s — speedup {speedup:.2f}x fell below the "
-            f"{POOL_SPEEDUP_FLOOR}x floor"
-        )
 
 
 @pytest.mark.benchmark(group="serving")

@@ -4,8 +4,7 @@ Two halves, one diagnostic vocabulary:
 
 * :mod:`repro.analysis.plan` — a **static query-plan verifier** that
   checks :class:`~repro.sql.ast.Query` / ``IntersectQuery`` ASTs against
-  a database schema (and, optionally, per-column statistics) *before*
-  any engine executes them.  Every check emits a structured
+  a database schema *before* any engine executes them.  Every check emits a structured
   :class:`~repro.analysis.diagnostics.Diagnostic` with a stable
   ``PLAN0xx`` code; :class:`~repro.analysis.gate.AnalyzingBackend`
   turns the verifier into an optional pre-execution gate

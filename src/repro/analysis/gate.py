@@ -3,8 +3,7 @@
 :class:`AnalyzingBackend` decorates an :class:`ExecutionBackend` the way
 :class:`CachingBackend` does, but instead of memoizing *results* it
 memoizes *verdicts*: before a query reaches the engine it runs
-:func:`repro.analysis.plan.verify_query` against the live schema (plus
-the dispatch route's statistics provider when one is available), raises
+:func:`repro.analysis.plan.verify_query` against the live schema, raises
 :class:`PlanVerificationError` on any error-severity finding, and counts
 warnings without blocking.  Verdicts are cached per
 ``(formatted SQL, relation stamps)`` exactly like query results, so the
@@ -24,7 +23,6 @@ from typing import Dict, Optional, Tuple
 
 from ..sql.ast import AnyQuery
 from ..sql.engine.base import CacheStamp, ExecutionBackend, tables_of
-from ..sql.estimator.sampler import StatisticsProvider
 from ..sql.formatter import format_query
 from ..sql.result import ResultSet
 from ..relational.errors import UnknownTableError
@@ -36,30 +34,17 @@ DEFAULT_VERDICT_MEMO = 512
 
 
 class AnalyzingBackend(ExecutionBackend):
-    """Decorator that statically verifies every query before execution.
-
-    ``statistics`` is an optional shared
-    :class:`~repro.sql.estimator.sampler.StatisticsProvider` (the
-    dispatch route passes its own so the gate and the router reuse one
-    stamped memo); when None the gate builds a private provider, and the
-    PLAN007 domain check still only fires on exact statistics.
-    """
+    """Decorator that statically verifies every query before execution."""
 
     def __init__(
         self,
         inner: ExecutionBackend,
         *,
-        statistics: Optional[StatisticsProvider] = None,
         memo_entries: int = DEFAULT_VERDICT_MEMO,
     ) -> None:
         super().__init__(inner.db)
         self.inner = inner
         self.name = inner.name
-        self.statistics = (
-            statistics
-            if statistics is not None
-            else StatisticsProvider(inner.db)
-        )
         self._memo_entries = memo_entries
         # formatted SQL -> (stamp, diagnostics); mutated under _lock.
         self._verdicts: "OrderedDict[str, Tuple[CacheStamp, Tuple[Diagnostic, ...]]]" = (
@@ -90,9 +75,7 @@ class AnalyzingBackend(ExecutionBackend):
                     self.memo_hits += 1
                     self._verdicts.move_to_end(key)
                     return entry[1]
-        diagnostics = tuple(
-            verify_query(self.db, query, statistics=self.statistics)
-        )
+        diagnostics = tuple(verify_query(self.db, query))
         with self._lock:
             self.analyzed += 1
             if any(not d.is_error for d in diagnostics):
@@ -111,12 +94,6 @@ class AnalyzingBackend(ExecutionBackend):
                 self.rejected += 1
             raise PlanVerificationError(diagnostics)
         return self.inner.execute(query)
-
-    def warm(self) -> Optional[int]:
-        """Forward cache-priming to the inner engine (dispatch's stamped
-        cardinalities); None for engines without a ``warm`` hook."""
-        warm = getattr(self.inner, "warm", None)
-        return warm() if callable(warm) else None
 
     def stats(self) -> Dict[str, int]:
         """Gate counters merged over the inner engine's stats."""

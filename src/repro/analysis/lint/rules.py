@@ -472,7 +472,7 @@ WORKER_UNIT_SCOPES = {
     "_ShardWorker",
     "_fork_worker_main",
     "_thread_main",
-    "_fork_unit",
+    "_fork_task_main",
     "_run_shard",
 }
 

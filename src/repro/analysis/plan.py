@@ -2,8 +2,7 @@
 
 :func:`verify_query` checks a :class:`~repro.sql.ast.Query` /
 ``IntersectQuery`` against a :class:`~repro.relational.database.Database`
-schema — and, when a statistics provider is given, against per-column
-value domains — *before* any engine executes it.  Every finding is a
+schema *before* any engine executes it.  Every finding is a
 :class:`~repro.analysis.diagnostics.Diagnostic` with a stable code:
 
 ====== ======== ========================================================
@@ -15,7 +14,7 @@ PLAN003 error   equi-join between type-incompatible columns
 PLAN004 error   predicate value incompatible with the column's type
 PLAN005 warning join graph is disconnected (cartesian-product block)
 PLAN006 error   predicate conjunction statically unsatisfiable
-PLAN007 warning predicate cannot match any current value (exact stats)
+PLAN007 —       retired (was: exact-statistics domain emptiness)
 PLAN008 warning block exceeds SQLite's 64-join-table limit (chained
                 MATERIALIZED CTE compilation engages on that route)
 PLAN009 error   GROUP BY projection not functionally determined
@@ -26,13 +25,12 @@ Severity semantics: *errors* mark queries whose execution is wrong,
 engine-dependent, or provably empty from the query text alone — the
 pre-execution gate (:class:`~repro.analysis.gate.AnalyzingBackend`)
 refuses to run them.  *Warnings* mark hazards that execute fine today
-(a cartesian block, a >64-alias star) and data-dependent emptiness.
+(a cartesian block, a >64-alias star).
 
-PLAN007 deliberately fires only on **exact** statistics (columns whose
-non-NULL count fits the sample budget, where every derived figure is a
-ground truth) — a sampled domain could miss live values, and this check
-must never produce a false positive: the differential fuzz harness
-asserts a clean verifier verdict on every sampled intent.
+PLAN007 is retired: it warned on data-dependent emptiness, read from
+the column-statistics provider that went with the cost-based router.
+The code stays reserved and is never reused, so old logs keep one
+meaning.
 
 INT and FLOAT columns are mutually compatible everywhere (joins,
 predicates, INTERSECT positions); every other type only matches itself.
@@ -48,8 +46,15 @@ from ..relational.types import ColumnType
 from ..sql.ast import AnyQuery, ColumnRef, IntersectQuery, Op, Query
 from .diagnostics import Diagnostic, Severity
 
+#: Retired plan-verifier codes: never emitted, never reused.
+RETIRED_PLAN_CODES: Tuple[str, ...] = ("PLAN007",)
+
 #: Stable plan-verifier diagnostic codes (see module docstring).
-PLAN_CODES: Tuple[str, ...] = tuple(f"PLAN{i:03d}" for i in range(1, 11))
+PLAN_CODES: Tuple[str, ...] = tuple(
+    code
+    for code in (f"PLAN{i:03d}" for i in range(1, 11))
+    if code not in RETIRED_PLAN_CODES
+)
 
 #: SQLite's hard limit on tables in one join (the >64-alias hazard).
 SQLITE_MAX_JOIN_TABLES = 64
@@ -87,13 +92,11 @@ class _BlockVerifier:
         db: Database,
         block: Query,
         prefix: str,
-        statistics: Optional[Any],
         out: List[Diagnostic],
     ) -> None:
         self.db = db
         self.block = block
         self.prefix = prefix
-        self.statistics = statistics
         self.out = out
         self.alias_map = block.alias_map()
         # alias -> TableSchema, for aliases whose base table exists
@@ -325,52 +328,6 @@ class _BlockVerifier:
                 return "no IN member falls inside the range"
         return None
 
-    def check_domains(self, typed: Dict[Tuple[str, str], ColumnType]) -> None:
-        """PLAN007: exact-statistics emptiness (never fires on samples)."""
-        if self.statistics is None:
-            return
-        for i, pred in enumerate(self.block.predicates):
-            key = (pred.column.table, pred.column.column)
-            if key not in typed:
-                continue
-            stats = self.statistics.column(
-                self.alias_map[pred.column.table], pred.column.column
-            )
-            if not stats.exact or stats.non_null == 0:
-                continue
-            reason = self._domain_conflict(pred, stats)
-            if reason is not None:
-                self.emit(
-                    "PLAN007",
-                    Severity.WARNING,
-                    f"{pred.op.value} predicate on {pred.column} matches "
-                    f"no current value: {reason}",
-                    f"predicates[{i}]",
-                )
-
-    @staticmethod
-    def _domain_conflict(pred: Any, stats: Any) -> Optional[str]:
-        counts = stats.value_counts
-        if pred.op is Op.EQ:
-            if counts is not None and pred.value not in counts:
-                return f"{pred.value!r} absent from the column domain"
-        elif pred.op is Op.IN:
-            if counts is not None and all(v not in counts for v in pred.value):
-                return "no IN member occurs in the column domain"
-        elif pred.op is Op.GE:
-            if stats.max_value is not None and _lt(stats.max_value, pred.value):
-                return f"column maximum is {stats.max_value!r}"
-        elif pred.op is Op.LE:
-            if stats.min_value is not None and _lt(pred.value, stats.min_value):
-                return f"column minimum is {stats.min_value!r}"
-        elif pred.op is Op.BETWEEN:
-            low, high = pred.value
-            if stats.max_value is not None and _lt(stats.max_value, low):
-                return f"column maximum is {stats.max_value!r}"
-            if stats.min_value is not None and _lt(high, stats.min_value):
-                return f"column minimum is {stats.min_value!r}"
-        return None
-
     # -- shape ----------------------------------------------------------
     def check_projection_shape(self) -> None:
         """PLAN009: with GROUP BY, every selected column must be
@@ -421,7 +378,6 @@ class _BlockVerifier:
         self.check_connectivity()
         typed = self.check_predicate_types(resolved)
         self.check_satisfiability(typed)
-        self.check_domains(typed)
         self.check_projection_shape()
         self.check_sqlite_hazard()
 
@@ -445,26 +401,16 @@ def _select_types(
     return out
 
 
-def verify_query(
-    db: Database,
-    query: AnyQuery,
-    statistics: Optional[Any] = None,
-) -> List[Diagnostic]:
+def verify_query(db: Database, query: AnyQuery) -> List[Diagnostic]:
     """Statically verify one query against ``db``'s schema.
 
-    ``statistics`` is an optional
-    :class:`~repro.sql.estimator.sampler.StatisticsProvider` (anything
-    with a ``column(table, column) -> ColumnStatistics`` method); when
-    given, the PLAN007 domain check runs on columns with exact
-    statistics.  Returns every finding, errors and warnings, in a
-    deterministic order; an empty list means the plan is clean.
+    Returns every finding, errors and warnings, in a deterministic
+    order; an empty list means the plan is clean.
     """
     out: List[Diagnostic] = []
     if isinstance(query, IntersectQuery):
         for b, block in enumerate(query.blocks):
-            _BlockVerifier(
-                db, block, f"blocks[{b}].", statistics, out
-            ).run()
+            _BlockVerifier(db, block, f"blocks[{b}].", out).run()
         reference = _select_types(db, query.blocks[0])
         for b, block in enumerate(query.blocks[1:], start=1):
             for pos, (want, got) in enumerate(
@@ -485,5 +431,5 @@ def verify_query(
                         )
                     )
     else:
-        _BlockVerifier(db, query, "", statistics, out).run()
+        _BlockVerifier(db, query, "", out).run()
     return out

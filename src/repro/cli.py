@@ -32,19 +32,20 @@ import time
 from typing import List, Optional, Sequence
 
 from .core.config import SquidConfig
+from .core.lookup import ExampleLookupError
+from .core.pipeline import TooManyExamplesError
 from .core.recommend import recommend_examples
 from .core.squid import SquidSystem
 from .datasets import adult, dblp, imdb
-from .sql.engine import (
-    DEFAULT_BACKEND,
-    DEFAULT_GUARD_FACTOR,
-    DEFAULT_SAMPLE_BUDGET,
-    available_backends,
-)
+from .sql.engine import DEFAULT_BACKEND, available_backends
 from .eval.reporting import format_table
 from .workloads import adult_queries, dblp_queries, imdb_queries
 
 _PROFILES = ("small", "base")
+
+#: Request errors ``discover`` and ``batch`` report as one stderr line
+#: (exit code 2) instead of a traceback.
+_REQUEST_ERRORS = (ExampleLookupError, TooManyExamplesError)
 
 
 def _build_dataset(name: str, profile: str):
@@ -89,10 +90,6 @@ def _squid_config(args: argparse.Namespace) -> SquidConfig:
         shards=args.shards,
         jobs=args.jobs,
         executor=args.executor,
-        persistent_pool=args.persistent_pool,
-        estimator=args.estimator,
-        estimator_sample_budget=args.sample_budget,
-        estimator_guard_factor=args.guard_factor,
         analyze=args.analyze,
     )
 
@@ -129,13 +126,19 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
     session = squid.session() if args.jobs > 1 else None
     start = time.perf_counter()
-    if session is not None:
-        outcome = session.discover_many([examples])[0]
-        if outcome.error is not None:
-            raise outcome.error
-        result = outcome.result
-    else:
-        result = squid.discover(examples)
+    try:
+        if session is not None:
+            outcome = session.discover_many([examples])[0]
+            if outcome.error is not None:
+                raise outcome.error
+            result = outcome.result
+        else:
+            result = squid.discover(examples)
+    except _REQUEST_ERRORS as exc:
+        print(f"discover: {exc}", file=sys.stderr)
+        if session is not None:
+            session.close()
+        return 2
     discover_seconds = time.perf_counter() - start
 
     print(f"offline αDB build: {build_seconds:.2f}s; discovery: "
@@ -198,7 +201,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     session = squid.session()
     session.warm()
-    outcomes = session.discover_many(sets)
+    try:
+        outcomes = session.discover_many(sets)
+    except _REQUEST_ERRORS as exc:
+        print(f"batch: {exc}", file=sys.stderr)
+        session.close()
+        return 2
     wall = session.last_batch_wall_seconds
     ok = sum(1 for o in outcomes if o.ok)
     print(
@@ -378,25 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--executor", choices=("thread", "process"),
                          default="thread",
                          help="worker pool flavour when --jobs > 1")
-        cmd.add_argument("--no-persistent-pool", dest="persistent_pool",
-                         action="store_false",
-                         help="use PR 2's throwaway per-batch executors "
-                              "instead of the persistent worker pool")
-        cmd.add_argument("--no-estimator", dest="estimator",
-                         action="store_false",
-                         help="drive the dispatch router with the v1 fixed "
-                              "heuristics instead of the sampling-based "
-                              "cardinality estimator")
-        cmd.add_argument("--sample-budget", type=int,
-                         default=DEFAULT_SAMPLE_BUDGET,
-                         help="per-column sample budget of the dispatch "
-                              "estimator (columns at or under this many "
-                              "non-NULL values are scanned exactly)")
-        cmd.add_argument("--guard-factor", type=float,
-                         default=DEFAULT_GUARD_FACTOR,
-                         help="misroute guard threshold: abort an "
-                              "interpreted run once observed rows exceed "
-                              "the estimate's upper bound by this factor")
         cmd.add_argument("--analyze", action="store_true",
                          help="statically verify every query before "
                               "execution (repro.analysis plan-verifier "

@@ -17,7 +17,7 @@ Two renderings are produced:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sql.ast import (
     AnyQuery,
@@ -47,17 +47,22 @@ class _AliasAllocator:
     """Fresh, deterministic table aliases per query construction."""
 
     def __init__(self) -> None:
-        self._used = set()
+        self._used: Set[str] = set()
+        self._next: Dict[str, int] = {}
 
     def fresh(self, base: str) -> str:
         if base not in self._used:
             self._used.add(base)
             return base
-        i = 1
+        # Names are only ever added, so the smallest free suffix of a
+        # base never decreases: resume where the last probe stopped
+        # instead of rescanning from 1 (quadratic in the filter count).
+        i = self._next.get(base, 1)
         while f"{base}_{i}" in self._used:
             i += 1
         alias = f"{base}_{i}"
         self._used.add(alias)
+        self._next[base] = i + 1
         return alias
 
     def reserve(self, name: str) -> None:

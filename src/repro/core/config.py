@@ -32,8 +32,6 @@ from typing import Optional
 from ..sql.engine import (
     DEFAULT_BACKEND,
     DEFAULT_CACHE_SIZE,
-    DEFAULT_GUARD_FACTOR,
-    DEFAULT_SAMPLE_BUDGET,
     DEFAULT_SHARD_MIN_ROWS,
     available_backends,
 )
@@ -127,33 +125,14 @@ class SquidConfig:
     repeats free."""
 
     shards: int = 0
-    """Probe-side shard workers of the ``sharded`` engine (and of the
-    ``dispatch`` router's sharded tier).  0 means auto: the machine's
-    cores, capped at 8."""
+    """Probe-side shard workers of the ``sharded`` engine.  0 means auto:
+    the machine's cores, capped at 8."""
 
     shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS
     """Activation threshold of the sharded engine: a block only fans out
     when its estimated carried work (start rows × aliases) reaches this
     many row-gathers; smaller blocks stay on the single-process
     vectorized path."""
-
-    estimator: bool = True
-    """Drive the ``dispatch`` router with the v2 sampling-based
-    cardinality estimator (point estimates with [lo, hi] safety bounds,
-    misroute guards, per-decision telemetry).  ``False`` restores the v1
-    fixed EQ→1 / range→n/4 heuristics."""
-
-    estimator_sample_budget: int = DEFAULT_SAMPLE_BUDGET
-    """Per-column sample budget of the v2 estimator: columns at or under
-    this many non-NULL values are scanned in full (exact statistics);
-    larger columns get a deterministic without-replacement sample of
-    this size.  Bigger budgets tighten the safety bounds at the price of
-    a longer first-touch scan per column (see docs/serving.md)."""
-
-    estimator_guard_factor: float = DEFAULT_GUARD_FACTOR
-    """Misroute guard threshold: a block routed to the interpreted
-    engine aborts and reroutes to the safe engine once its observed
-    mid-flight rows exceed the estimate's upper bound by this factor."""
 
     analyze: bool = False
     """Statically verify every query before execution (the
@@ -178,14 +157,6 @@ class SquidConfig:
     when the vectorized kernels dominate) or ``process`` (fork-based,
     true CPU parallelism; falls back to threads where fork is
     unavailable)."""
-
-    persistent_pool: bool = True
-    """Keep one :class:`~repro.core.workers.WorkerPool` alive across
-    batches (and the serving tier's concurrent requests): workers start
-    once, inherit the warm αDB, and receive (set × candidate) units
-    worker-affine with the parent's lookup state shipped along.
-    ``False`` restores the per-batch throwaway executors (the PR 2
-    baseline the serving benchmark compares against)."""
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rho < 1.0:
@@ -214,16 +185,6 @@ class SquidConfig:
         if self.shard_min_rows < 0:
             raise ValueError(
                 f"shard_min_rows must be >= 0, got {self.shard_min_rows}"
-            )
-        if self.estimator_sample_budget < 16:
-            raise ValueError(
-                "estimator_sample_budget must be >= 16, got "
-                f"{self.estimator_sample_budget}"
-            )
-        if self.estimator_guard_factor < 1.0:
-            raise ValueError(
-                "estimator_guard_factor must be >= 1, got "
-                f"{self.estimator_guard_factor}"
             )
         validate_fanout(self.jobs, self.executor)
 

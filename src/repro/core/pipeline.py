@@ -405,10 +405,14 @@ def select_best(candidates: Sequence[DiscoveryResult]) -> DiscoveryResult:
     return best
 
 
+class TooManyExamplesError(ValueError):
+    """More examples than the QBE few-examples cap allows."""
+
+
 def check_example_count(examples: Sequence[str], config: SquidConfig) -> None:
     """Enforce the QBE few-examples cap (shared by system and session)."""
     if len(examples) > config.max_example_warn:
-        raise ValueError(
+        raise TooManyExamplesError(
             f"{len(examples)} examples provided; QBE expects few "
             f"(cap: {config.max_example_warn})"
         )

@@ -22,14 +22,12 @@ pickled back).  ``jobs=1`` drives the exact sequential reference path,
 so batch output is identical to calling ``SquidSystem.discover`` in a
 loop.
 
-Since PR 3 the fan-out runs on a **persistent**
-:class:`~repro.core.workers.WorkerPool` by default: the pool starts once
-(shipping the warm αDB to forked workers via copy-on-write), is reused
-across batches and concurrent async requests, and schedules every unit
-of one example set onto the same worker with the parent's lookup state
-shipped along — no child ever re-runs lookup.
-``persistent_pool=False`` restores PR 2's throwaway per-batch executors
-(kept as the benchmark baseline).  :meth:`DiscoverySession.
+The fan-out runs on a **persistent**
+:class:`~repro.core.workers.WorkerPool`: the pool starts once (shipping
+the warm αDB to forked workers via copy-on-write), is reused across
+batches and concurrent async requests, and schedules every unit of one
+example set onto the same worker with the parent's lookup state shipped
+along — no child ever re-runs lookup.  :meth:`DiscoverySession.
 discover_many_async` exposes the same batch semantics to asyncio callers
 — the serving tier (:mod:`repro.serve`) drives many concurrent requests
 through one session.
@@ -38,10 +36,9 @@ through one session.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -54,7 +51,6 @@ from .pipeline import (
     PipelineContext,
     check_example_count,
     discover_sequential,
-    run_candidate,
     select_best,
 )
 from .properties import FamilyKind, PropertyFamily
@@ -288,43 +284,6 @@ class BatchOutcome:
         return self.result is not None
 
 
-# Fork-inherited state for the process executor: set in the parent right
-# before the pool is created; children receive it through fork()'s
-# copy-on-write snapshot, so nothing heavyweight is ever pickled.
-# _FORK_LOCK serialises concurrent process-executor batches — the global
-# must not be reassigned between another session's assignment and its
-# workers forking.
-_FORK_STATE: Optional[Tuple[Any, Any, List[List[str]], SquidConfig]] = None
-_FORK_LOCK = threading.Lock()
-_FORK_MATCHES: Dict[int, Any] = {}
-
-
-def _fork_unit(unit: Tuple[int, int]) -> Tuple[int, int, DiscoveryResult]:
-    """Process-pool worker: run one (example set, candidate) unit."""
-    assert _FORK_STATE is not None, "worker forked without session state"
-    adb, backend, sets, config = _FORK_STATE
-    set_idx, cand_idx = unit
-    matches = _FORK_MATCHES.get(set_idx)
-    if matches is None:
-        # Lookup re-runs once per child process per set (cheap: one probe
-        # of the inverted index); candidates then come out identical to
-        # the parent's because lookup is deterministic.
-        ctx = PipelineContext(
-            adb=adb, backend=backend, config=config, examples=sets[set_idx]
-        )
-        LOOKUP_STAGE(ctx)
-        matches = ctx.matches
-        _FORK_MATCHES[set_idx] = matches
-    candidate_ctx = PipelineContext(
-        adb=adb,
-        backend=backend,
-        config=config,
-        examples=sets[set_idx],
-        match=matches[cand_idx],
-    )
-    return set_idx, cand_idx, run_candidate(candidate_ctx)
-
-
 class DiscoverySession:
     """Discover many example sets in one call over a shared warm αDB.
 
@@ -339,7 +298,6 @@ class DiscoverySession:
         jobs: Optional[int] = None,
         executor: Optional[str] = None,
         share_probes: bool = True,
-        persistent_pool: Optional[bool] = None,
     ) -> None:
         self.system = system
         self.jobs = system.config.jobs if jobs is None else jobs
@@ -347,11 +305,6 @@ class DiscoverySession:
         validate_fanout(self.jobs, self.executor)
         self.adb = ProbeCachingAdb(system.adb) if share_probes else system.adb
         self._backend = system.backend
-        self.persistent_pool = (
-            system.config.persistent_pool
-            if persistent_pool is None
-            else persistent_pool
-        )
         self.executor_used: Optional[str] = None
         """Pool flavour of the last parallel batch (None before one ran;
         'process' silently degrades to 'thread' where fork is missing)."""
@@ -393,7 +346,6 @@ class DiscoverySession:
                 built += 1
         if isinstance(self.adb, ProbeCachingAdb):
             built += self.adb.warm_families()
-        self.system.warm_backend()
         return built
 
     # ------------------------------------------------------------------
@@ -406,7 +358,7 @@ class DiscoverySession:
         after :meth:`warm` so forked workers inherit the warm state in
         their copy-on-write snapshot (the serving tier does exactly
         that: warm → start_pool → accept requests)."""
-        if self.jobs <= 1 or not self.persistent_pool:
+        if self.jobs <= 1:
             return None
         return self._ensure_pool()
 
@@ -544,7 +496,9 @@ class DiscoverySession:
             contexts[i] = ctx
             units.extend((i, j) for j in range(len(ctx.matches)))
 
-        results = self._fan_out(units, contexts, sets, config)
+        pool = self._ensure_pool()
+        self.executor_used = pool.kind
+        results = self._fan_out_pool(pool, units, contexts, sets, config)
 
         for i, ctx in contexts.items():
             assert ctx.matches is not None
@@ -559,26 +513,6 @@ class DiscoverySession:
             outcomes[i].result = best
             outcomes[i].seconds = aggregate.cpu_seconds
         return outcomes
-
-    def _fan_out(
-        self,
-        units: List[Tuple[int, int]],
-        contexts: Dict[int, PipelineContext],
-        sets: List[List[str]],
-        config: SquidConfig,
-    ) -> Dict[Tuple[int, int], DiscoveryResult]:
-        if self.persistent_pool:
-            pool = self._ensure_pool()
-            self.executor_used = pool.kind
-            return self._fan_out_pool(pool, units, contexts, sets, config)
-        if (
-            self.executor == "process"
-            and "fork" in multiprocessing.get_all_start_methods()
-        ):
-            self.executor_used = "process"
-            return self._fan_out_processes(units, contexts, sets, config)
-        self.executor_used = "thread"
-        return self._fan_out_threads(units, contexts)
 
     def _fan_out_pool(
         self,
@@ -609,51 +543,6 @@ class DiscoverySession:
         pool.note_batch_served()
         return results
 
-    def _fan_out_threads(
-        self,
-        units: List[Tuple[int, int]],
-        contexts: Dict[int, PipelineContext],
-    ) -> Dict[Tuple[int, int], DiscoveryResult]:
-        results: Dict[Tuple[int, int], DiscoveryResult] = {}
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            futures = {}
-            for i, j in units:
-                ctx = contexts[i]
-                assert ctx.matches is not None
-                candidate_ctx = ctx.for_candidate(ctx.matches[j])
-                futures[pool.submit(run_candidate, candidate_ctx)] = (i, j)
-            for future, key in futures.items():
-                results[key] = future.result()
-        return results
-
-    def _fan_out_processes(
-        self,
-        units: List[Tuple[int, int]],
-        contexts: Dict[int, PipelineContext],
-        sets: List[List[str]],
-        config: SquidConfig,
-    ) -> Dict[Tuple[int, int], DiscoveryResult]:
-        global _FORK_STATE
-        mp_context = multiprocessing.get_context("fork")
-        with _FORK_LOCK:
-            _FORK_STATE = (self.adb, self._backend, sets, config)
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=self.jobs, mp_context=mp_context
-                ) as pool:
-                    results: Dict[Tuple[int, int], DiscoveryResult] = {}
-                    for set_idx, cand_idx, result in pool.map(_fork_unit, units):
-                        # Children re-measure their own lookup; attribute
-                        # the parent's shared lookup time like the thread
-                        # path.
-                        result.timings.lookup_seconds = contexts[
-                            set_idx
-                        ].timings.lookup_seconds
-                        results[(set_idx, cand_idx)] = result
-                    return results
-            finally:
-                _FORK_STATE = None
-
     # ------------------------------------------------------------------
     # async discovery (the serving path)
     # ------------------------------------------------------------------
@@ -675,7 +564,7 @@ class DiscoverySession:
         examples = list(examples)
         loop = asyncio.get_running_loop()
         outcome = BatchOutcome(examples=examples)
-        if self.jobs <= 1 or not self.persistent_pool:
+        if self.jobs <= 1:
             def run_sequential() -> BatchOutcome:
                 self._revalidate_probes()
                 return self._discover_one(examples, config)

@@ -67,9 +67,6 @@ class SquidSystem:
             cache_size=size,
             shards=adb.config.shards,
             shard_min_rows=adb.config.shard_min_rows,
-            use_estimator=adb.config.estimator,
-            sample_budget=adb.config.estimator_sample_budget,
-            guard_factor=adb.config.estimator_guard_factor,
             analyze=adb.config.analyze,
         )
 
@@ -125,7 +122,6 @@ class SquidSystem:
         jobs: Optional[int] = None,
         executor: Optional[str] = None,
         share_probes: bool = True,
-        persistent_pool: Optional[bool] = None,
     ) -> "DiscoverySession":
         """A batch discovery session over this system (see
         :class:`~repro.core.session.DiscoverySession`)."""
@@ -136,7 +132,6 @@ class SquidSystem:
             jobs=jobs,
             executor=executor,
             share_probes=share_probes,
-            persistent_pool=persistent_pool,
         )
 
     def _prune_redundant(self, entity, selected):
@@ -165,23 +160,13 @@ class SquidSystem:
         return None
 
     def backend_stats(self) -> Optional[Dict[str, int]]:
-        """Engine-level counters (e.g. the dispatch backend's per-engine
-        routing decisions); None when the engine keeps none."""
+        """Engine-level counters (e.g. the sharded engine's fan-out
+        counters); None when the engine keeps none."""
         backend = self._backend
         if isinstance(backend, CachingBackend):
             backend = backend.inner
         stats = getattr(backend, "stats", None)
         return stats() if callable(stats) else None
-
-    def warm_backend(self) -> None:
-        """Prime engine-held caches (e.g. dispatch's stamped
-        cardinalities); a no-op for engines without a ``warm`` hook."""
-        backend = self._backend
-        if isinstance(backend, CachingBackend):
-            backend = backend.inner
-        warm = getattr(backend, "warm", None)
-        if callable(warm):
-            warm()
 
     def result_keys(self, result: DiscoveryResult) -> set:
         """Entity keys returned by the abduced query."""

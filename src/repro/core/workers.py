@@ -1,9 +1,9 @@
 """Persistent worker pools with worker-affine unit scheduling.
 
-PR 2's batch session created a throwaway executor per batch; its forked
-children additionally re-ran entity lookup once per (child × example
-set), because fork-inherited state cannot be seeded after the fact.
-This module replaces both with a pool that
+A per-batch executor would re-fork its workers for every batch, and
+its forked children would re-run entity lookup once per (child ×
+example set), because fork-inherited state cannot be seeded after the
+fact.  This module avoids both with a pool that
 
 * **starts once** and is reused across batches (and across the serving
   tier's concurrent requests) — the fork cost and the copy-on-write

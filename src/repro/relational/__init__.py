@@ -20,22 +20,12 @@ from .indexes import CompositeHashIndex, HashIndex, SortedIndex
 from .inverted import InvertedColumnIndex, Posting
 from .relation import ColumnArray, Relation, SortedView
 from .schema import ColumnDef, DatabaseSchema, FkEdge, ForeignKey, TableSchema
-from .statistics import (
-    DEFAULT_SAMPLE_BUDGET,
-    ColumnStatistics,
-    Histogram,
-    column_statistics,
-    sample_seed,
-)
 from .types import ColumnType, coerce_value, normalize_text
 
 __all__ = [
     "ColumnArray",
     "ColumnDef",
-    "ColumnStatistics",
     "ColumnType",
-    "DEFAULT_SAMPLE_BUDGET",
-    "Histogram",
     "CompositeHashIndex",
     "Database",
     "DatabaseSchema",
@@ -56,7 +46,5 @@ __all__ = [
     "UnknownColumnError",
     "UnknownTableError",
     "coerce_value",
-    "column_statistics",
     "normalize_text",
-    "sample_seed",
 ]

@@ -1,10 +1,9 @@
 """Query representation and execution for the SPJ(A, intersect) class.
 
 Exports the AST node types, the pluggable execution backends (interpreted,
-vectorized, sharded, sqlite, dispatch) behind :class:`ExecutionBackend`, the
-paper-style SQL
-formatter, the predicate-counting metric used in Figs. 14/15, and a small
-parser that round-trips the formatter output.
+vectorized, sharded, sqlite) behind :class:`ExecutionBackend`, the
+paper-style SQL formatter, the predicate-counting metric used in Figs.
+14/15, and a small parser that round-trips the formatter output.
 """
 
 from .ast import (
@@ -27,7 +26,6 @@ from .engine import (
     BACKENDS,
     CachingBackend,
     DEFAULT_BACKEND,
-    DispatchBackend,
     ExecutionBackend,
     InterpretedBackend,
     QueryResultCache,
@@ -47,7 +45,6 @@ __all__ = [
     "CachingBackend",
     "ColumnRef",
     "DEFAULT_BACKEND",
-    "DispatchBackend",
     "ExecutionBackend",
     "Executor",
     "HavingCount",

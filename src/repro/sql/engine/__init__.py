@@ -1,7 +1,7 @@
 """Pluggable execution backends for the SPJ(A, intersect) query class.
 
 Every query in the system runs through an
-:class:`~repro.sql.engine.base.ExecutionBackend`.  Three engines ship
+:class:`~repro.sql.engine.base.ExecutionBackend`.  Four engines ship
 behind the one interface:
 
 * ``interpreted`` — the original row-at-a-time hash-join pipeline, kept
@@ -12,11 +12,7 @@ behind the one interface:
   mirror of the database;
 * ``sharded``    — the vectorized engine with wide/large blocks
   partitioned over a fork-once process pool (probe-side shards, partial
-  aggregates merged in the parent);
-* ``dispatch``   — cost-based router sending point lookups and tiny
-  queries to the interpreted engine, genuinely wide/large blocks to the
-  sharded engine, and everything else to the vectorized one, using
-  per-table cardinalities re-checked against relation version stamps.
+  aggregates merged in the parent).
 
 ``create_backend`` is the factory; :class:`CachingBackend` layers the
 shared formatted-SQL-keyed result cache over any engine, and
@@ -43,12 +39,6 @@ from .async_backend import (
     AsyncExecutionBackend,
     create_async_backend,
 )
-from .dispatch import (
-    DEFAULT_SAMPLE_BUDGET,
-    DEFAULT_SMALL_WORK_ROWS,
-    DispatchBackend,
-)
-from ..estimator import DEFAULT_GUARD_FACTOR
 from .interpreted import InterpretedBackend
 from .sharded import DEFAULT_SHARD_MIN_ROWS, ShardedVectorizedBackend
 from .sqlite import SqliteBackend
@@ -58,14 +48,10 @@ BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     InterpretedBackend.name: InterpretedBackend,
     VectorizedBackend.name: VectorizedBackend,
     SqliteBackend.name: SqliteBackend,
-    DispatchBackend.name: DispatchBackend,
     ShardedVectorizedBackend.name: ShardedVectorizedBackend,
 }
 
 DEFAULT_BACKEND = VectorizedBackend.name
-
-#: Backends that understand the shard-fanout keyword arguments.
-_SHARD_AWARE = {ShardedVectorizedBackend.name, DispatchBackend.name}
 
 
 def available_backends() -> List[str]:
@@ -80,22 +66,16 @@ def create_backend(
     cache_size: int = 0,
     shards: int = 0,
     shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS,
-    use_estimator: bool = True,
-    sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-    guard_factor: float = DEFAULT_GUARD_FACTOR,
     analyze: bool = False,
 ) -> ExecutionBackend:
     """Instantiate a backend by name, optionally wrapped in a result cache.
 
     ``cache_size`` > 0 wraps the engine in a :class:`CachingBackend` with
     that many LRU entries.  ``shards`` (0 = auto) and ``shard_min_rows``
-    configure the partition-parallel fan-out of the ``sharded`` engine
-    and of the ``dispatch`` router's sharded tier.  ``use_estimator``,
-    ``sample_budget`` and ``guard_factor`` configure the ``dispatch``
-    router's v2 cost model (sampling-based cardinality estimation with
-    misroute guards); other engines ignore all five.  ``analyze`` layers
-    the :mod:`repro.analysis` plan-verifier gate under the cache (wrap
-    order ``CachingBackend(AnalyzingBackend(engine))`` — cache hits skip
+    configure the partition-parallel fan-out of the ``sharded`` engine;
+    other engines ignore both.  ``analyze`` layers the
+    :mod:`repro.analysis` plan-verifier gate under the cache (wrap order
+    ``CachingBackend(AnalyzingBackend(engine))`` — cache hits skip
     re-verification, and stats unwrapping still reaches the gate).
     """
     try:
@@ -104,16 +84,7 @@ def create_backend(
         raise ValueError(
             f"unknown backend {name!r} (available: {', '.join(available_backends())})"
         ) from None
-    if name == DispatchBackend.name:
-        backend = backend_cls(
-            database,
-            shards=shards,
-            shard_min_rows=shard_min_rows,
-            use_estimator=use_estimator,
-            sample_budget=sample_budget,
-            guard_factor=guard_factor,
-        )
-    elif name in _SHARD_AWARE:
+    if name == ShardedVectorizedBackend.name:
         backend = backend_cls(
             database, shards=shards, shard_min_rows=shard_min_rows
         )
@@ -123,9 +94,7 @@ def create_backend(
         # Function-local import: repro.analysis imports this package.
         from ...analysis.gate import AnalyzingBackend
 
-        backend = AnalyzingBackend(
-            backend, statistics=getattr(backend, "_provider", None)
-        )
+        backend = AnalyzingBackend(backend)
     if cache_size > 0:
         return CachingBackend(backend, max_entries=cache_size)
     return backend
@@ -138,11 +107,7 @@ __all__ = [
     "DEFAULT_ASYNC_WORKERS",
     "DEFAULT_BACKEND",
     "DEFAULT_CACHE_SIZE",
-    "DEFAULT_GUARD_FACTOR",
-    "DEFAULT_SAMPLE_BUDGET",
     "DEFAULT_SHARD_MIN_ROWS",
-    "DEFAULT_SMALL_WORK_ROWS",
-    "DispatchBackend",
     "ExecutionBackend",
     "InterpretedBackend",
     "QueryResultCache",

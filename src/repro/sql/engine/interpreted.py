@@ -19,7 +19,7 @@ keep its semantics authoritative.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...relational.database import Database
 from ...relational.errors import QueryError
@@ -55,37 +55,17 @@ class InterpretedBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # single block
     # ------------------------------------------------------------------
-    def _execute_block(
-        self,
-        query: Query,
-        observe: Optional[Callable[[int], None]] = None,
-    ) -> ResultSet:
-        """Run one block; ``observe`` receives every intermediate row
-        count (candidate sets, binding lists) as it materialises — the
-        dispatch misroute guard's mid-flight hook.  An exception raised
-        by the observer aborts the execution and propagates.
-        """
+    def _execute_block(self, query: Query) -> ResultSet:
+        """Run one SPJ(A) block."""
         alias_map = query.alias_map()
         validate_query(self.db, query)
         with self._stats_lock:
             self.blocks_executed += 1
         candidates = self._pushdown(query, alias_map)
-        if observe is not None:
-            for cand in candidates.values():
-                if cand is not None:
-                    observe(len(cand))
-        joined = self._join_all(query, alias_map, candidates, observe)
+        joined = self._join_all(query, alias_map, candidates)
         if query.group_by:
             joined = self._aggregate(query, alias_map, joined)
         return self._project(query, alias_map, joined)
-
-    def execute_block(
-        self,
-        query: Query,
-        observe: Optional[Callable[[int], None]] = None,
-    ) -> ResultSet:
-        """Public single-block entry point with the observer hook."""
-        return self._execute_block(query, observe)
 
     # ------------------------------------------------------------------
     # predicate pushdown
@@ -148,7 +128,6 @@ class InterpretedBackend(ExecutionBackend):
         query: Query,
         alias_map: Dict[str, str],
         candidates: Dict[str, Optional[List[int]]],
-        observe: Optional[Callable[[int], None]] = None,
     ) -> List[Dict[str, int]]:
         """Join every table; returns bindings alias -> row id."""
         aliases = list(alias_map)
@@ -167,8 +146,6 @@ class InterpretedBackend(ExecutionBackend):
             self.db.relation(alias_map[start]).row_ids()
         )
         partials: List[Dict[str, int]] = [{start: rid} for rid in rids]
-        if observe is not None:
-            observe(len(partials))
         bound = {start}
         remaining_joins = list(query.joins)
 
@@ -184,10 +161,8 @@ class InterpretedBackend(ExecutionBackend):
                 )
                 connecting = []
             partials = self._extend(
-                partials, next_alias, alias_map, candidates, connecting, observe
+                partials, next_alias, alias_map, candidates, connecting
             )
-            if observe is not None:
-                observe(len(partials))
             bound.add(next_alias)
             remaining_joins = [j for j in remaining_joins if j not in connecting]
             if not partials:
@@ -222,10 +197,6 @@ class InterpretedBackend(ExecutionBackend):
                 best = alias
         return None, []
 
-    #: Binding-growth granularity at which the observer hook fires
-    #: inside one extension wave.
-    _OBSERVE_EVERY = 4096
-
     def _extend(
         self,
         partials: List[Dict[str, int]],
@@ -233,7 +204,6 @@ class InterpretedBackend(ExecutionBackend):
         alias_map: Dict[str, str],
         candidates: Dict[str, Optional[List[int]]],
         connecting: List[JoinCondition],
-        observe: Optional[Callable[[int], None]] = None,
     ) -> List[Dict[str, int]]:
         """Extend partial bindings with one more table."""
         table = alias_map[alias]
@@ -241,10 +211,6 @@ class InterpretedBackend(ExecutionBackend):
         cand = candidates[alias]
         if not connecting:
             rids = cand if cand is not None else list(relation.row_ids())
-            if observe is not None:
-                # A cross-product wave can explode on its own; surface the
-                # size before materialising it.
-                observe(len(partials) * len(rids))
             return [
                 dict(partial, **{alias: rid}) for partial in partials for rid in rids
             ]
@@ -285,11 +251,6 @@ class InterpretedBackend(ExecutionBackend):
                     extended = dict(partial)
                     extended[alias] = rid
                     out.append(extended)
-                    if (
-                        observe is not None
-                        and len(out) % self._OBSERVE_EVERY == 0
-                    ):
-                        observe(len(out))
         return out
 
     def _apply_residual(

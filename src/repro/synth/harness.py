@@ -4,8 +4,7 @@ Per scenario, the harness:
 
 1. differential-tests the *ground-truth* intent query on the original
    database across every registered engine (interpreted, vectorized,
-   sqlite, sharded, dispatch), asserting byte-identical canonical
-   results;
+   sqlite, sharded), asserting byte-identical canonical results;
 2. runs each intent's example set through the full discovery pipeline
    (offline αDB build + the five online stages);
 3. differential-tests the *abduced* query (display form and keyed form)
@@ -43,7 +42,6 @@ from ..core.squid import SquidSystem
 from ..relational import Database
 from ..sql.ast import AnyQuery
 from ..sql.engine import BACKENDS, ExecutionBackend, create_backend
-from ..sql.estimator import StatisticsProvider
 from ..sql.formatter import format_query
 from ..sql.result import ResultSet
 from .config import ScenarioConfig
@@ -54,15 +52,14 @@ from .scenario import (
     generate_scenario,
 )
 
-#: All five engine routes, reference first.  ``sorted(BACKENDS)`` would
+#: All four engine routes, reference first.  ``sorted(BACKENDS)`` would
 #: also work; the explicit order keeps failure output stable and makes
-#: the acceptance criterion ("all five routes") greppable.
+#: the acceptance criterion ("all four routes") greppable.
 ENGINE_ORDER: Tuple[str, ...] = (
     "interpreted",
     "vectorized",
     "sqlite",
     "sharded",
-    "dispatch",
 )
 REFERENCE_ENGINE = ENGINE_ORDER[0]
 
@@ -189,21 +186,17 @@ class DifferentialHarness:
         self.engines = engines
 
     # ------------------------------------------------------------------
-    def _backends(
-        self, db: Database, statistics: StatisticsProvider
-    ) -> Dict[str, ExecutionBackend]:
+    def _backends(self, db: Database) -> Dict[str, ExecutionBackend]:
         """One backend per engine route, each behind the plan-verifier
-        gate (all gates share the database's stamped statistics memo)."""
+        gate."""
         return {
-            name: AnalyzingBackend(
-                create_backend(name, db), statistics=statistics
-            )
+            name: AnalyzingBackend(create_backend(name, db))
             for name in self.engines
         }
 
     def _verify_plan(
         self,
-        statistics: StatisticsProvider,
+        db: Database,
         query: AnyQuery,
         label: str,
         report: ScenarioReport,
@@ -214,7 +207,7 @@ class DifferentialHarness:
         Every query the harness sees is legitimately sampled or abduced,
         so *any* diagnostic — warning included — is a verifier false
         positive and recorded as an ``analysis`` failure."""
-        diagnostics = verify_query(statistics.db, query, statistics=statistics)
+        diagnostics = verify_query(db, query)
         if diagnostics:
             report.failures.append(
                 ScenarioFailure(
@@ -290,13 +283,11 @@ class DifferentialHarness:
         if not scenario.intents:
             return report
 
-        original_stats = StatisticsProvider(scenario.db)
-        original_backends = self._backends(scenario.db, original_stats)
+        original_backends = self._backends(scenario.db)
         squid = SquidSystem.build(
             scenario.db, scenario.metadata, self.squid_config
         )
-        adb_stats = StatisticsProvider(squid.adb.db)
-        adb_backends = self._backends(squid.adb.db, adb_stats)
+        adb_backends = self._backends(squid.adb.db)
 
         precisions: List[float] = []
         recalls: List[float] = []
@@ -304,7 +295,7 @@ class DifferentialHarness:
             k = intent.index
             # (1) the known ground-truth query, on the original schema
             self._verify_plan(
-                original_stats,
+                scenario.db,
                 intent.query,
                 f"ground-truth query of intent {k}",
                 report,
@@ -333,14 +324,14 @@ class DifferentialHarness:
                 continue
             # (3) the abduced query, display and keyed form, on the αDB
             self._verify_plan(
-                adb_stats,
+                squid.adb.db,
                 result.query,
                 f"abduced query of intent {k}",
                 report,
                 k,
             )
             self._verify_plan(
-                adb_stats,
+                squid.adb.db,
                 result.keyed_query,
                 f"abduced keyed query of intent {k}",
                 report,

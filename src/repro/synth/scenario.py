@@ -46,7 +46,7 @@ def default_scenario_config(seed: int = 0) -> ScenarioConfig:
     """The fuzzer's default sampler configuration at ``seed``.
 
     Deliberately tiny (tens of entity rows, a handful of tables): one
-    scenario must build its αDB and differential-run five engines in
+    scenario must build its αDB and differential-run four engines in
     well under a second, so seed ranges in the hundreds stay cheap."""
     return ScenarioConfig(seed=seed)
 

@@ -147,11 +147,6 @@ class TestWiring:
         assert stats["analyze_checked"] == 1
         assert stats["analyze_memo_hits"] == 0
 
-    def test_dispatch_shares_its_statistics_provider(self, academics_db):
-        backend = create_backend("dispatch", academics_db, analyze=True)
-        assert isinstance(backend, AnalyzingBackend)
-        assert backend.statistics is backend.inner._provider
-
     def test_squid_system_runs_behind_the_gate(self, academics_db):
         metadata = AdbMetadata(
             entities=[EntitySpec("academics", "id", "name")],

@@ -280,7 +280,7 @@ def test_lint005_only_applies_to_synth_paths():
 # -- LINT006: copy-on-write warm state -----------------------------------
 def test_lint006_worker_mutating_warm_state_fires():
     source = """
-        def _fork_unit(adb, unit):
+        def _fork_worker_main(adb, unit):
             adb.db.bulk_load("movies", unit.rows)
     """
     diags = lint(source)
@@ -299,7 +299,7 @@ def test_lint006_worker_assignment_into_warm_state_fires():
 
 def test_lint006_read_only_worker_is_clean():
     source = """
-        def _fork_unit(adb, unit):
+        def _fork_worker_main(adb, unit):
             relation = adb.db.relation("movies")
             return relation.row(0)
     """

@@ -2,14 +2,13 @@
 PLAN code (the code catalog is a public contract — see docs/analysis.md).
 
 All cases run on the Figure 1 academics database from the shared
-conftest: small enough that the statistics provider computes *exact*
-column statistics, which is what arms the PLAN007 domain check.
+conftest.
 """
 
 from __future__ import annotations
 
 from repro.analysis import PLAN_CODES, Severity, errors_of, verify_query
-from repro.analysis.plan import SQLITE_MAX_JOIN_TABLES
+from repro.analysis.plan import RETIRED_PLAN_CODES, SQLITE_MAX_JOIN_TABLES
 from repro.sql.ast import (
     ColumnRef,
     HavingCount,
@@ -20,7 +19,6 @@ from repro.sql.ast import (
     Query,
     TableRef,
 )
-from repro.sql.estimator import StatisticsProvider
 
 
 def col(table: str, column: str) -> ColumnRef:
@@ -46,7 +44,10 @@ def codes(diagnostics) -> set:
 
 
 def test_code_catalog_is_stable():
-    assert PLAN_CODES == tuple(f"PLAN{i:03d}" for i in range(1, 11))
+    assert RETIRED_PLAN_CODES == ("PLAN007",)
+    assert PLAN_CODES == tuple(
+        f"PLAN{i:03d}" for i in range(1, 11) if i != 7
+    )
 
 
 def test_clean_query_verifies_clean(academics_db):
@@ -187,53 +188,16 @@ def test_plan006_satisfiable_conjunction_clean(academics_db):
     assert verify_query(academics_db, query) == []
 
 
-# -- PLAN007: exact-statistics domain emptiness -------------------------
-def test_plan007_absent_value_warns_with_exact_stats(academics_db):
-    stats = StatisticsProvider(academics_db)
-    query = base_query(
-        predicates=(Predicate(col("a", "name"), Op.EQ, "Nobody Atall"),)
-    )
-    diags = verify_query(academics_db, query, statistics=stats)
-    assert codes(diags) == {"PLAN007"}
-    assert diags[0].severity is Severity.WARNING
-
-
-def test_plan007_out_of_range_bound_warns(academics_db):
-    stats = StatisticsProvider(academics_db)
-    query = base_query(
-        predicates=(Predicate(col("a", "id"), Op.GE, 10_000),)
-    )
-    assert codes(verify_query(academics_db, query, statistics=stats)) == {
-        "PLAN007"
-    }
-
-
-def test_plan007_live_value_clean(academics_db):
-    stats = StatisticsProvider(academics_db)
-    query = base_query(
-        predicates=(Predicate(col("a", "name"), Op.EQ, "Dan Suciu"),)
-    )
-    assert verify_query(academics_db, query, statistics=stats) == []
-
-
-def test_plan007_needs_a_statistics_provider(academics_db):
-    query = base_query(
-        predicates=(Predicate(col("a", "name"), Op.EQ, "Nobody Atall"),)
-    )
-    assert verify_query(academics_db, query) == []
-
-
-def test_plan007_never_fires_on_sampled_statistics(academics_db):
-    # A tiny sample budget forces sampled (non-exact) statistics on the
-    # research table (8 rows > budget 2... budgets are floored at 1 in
-    # the provider; use the smallest legal budget below the row count).
-    stats = StatisticsProvider(academics_db, sample_budget=2)
-    query = base_query(
-        predicates=(
-            Predicate(col("r", "interest"), Op.EQ, "underwater basketry"),
-        )
-    )
-    assert verify_query(academics_db, query, statistics=stats) == []
+# -- PLAN007: retired ----------------------------------------------------
+def test_plan007_is_retired(academics_db):
+    # Data-dependent emptiness (an absent value, an out-of-range bound)
+    # is not a plan defect: the verifier stays silent on both.
+    for predicate in (
+        Predicate(col("a", "name"), Op.EQ, "Nobody Atall"),
+        Predicate(col("a", "id"), Op.GE, 10_000),
+    ):
+        query = base_query(predicates=(predicate,))
+        assert verify_query(academics_db, query) == []
 
 
 # -- PLAN008: SQLite join-width hazard ----------------------------------

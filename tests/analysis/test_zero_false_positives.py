@@ -17,7 +17,6 @@ from repro.analysis.lint import lint_paths
 from repro.core.workers import WorkerPool
 from repro.datasets import adult, dblp, imdb
 from repro.sql.engine import available_backends, create_backend
-from repro.sql.estimator import StatisticsProvider
 from repro.synth import ScenarioMaskError, generate_scenario, load_corpus
 from repro.synth.harness import KIND_ANALYSIS, fuzz_seeds
 from repro.workloads import adult_queries, dblp_queries, imdb_queries
@@ -59,17 +58,16 @@ def test_worker_pool_counter_mutates_through_a_locked_method():
 
 # -- zero false positives over checked-in workloads ----------------------
 def _sweep(db, workloads):
-    provider = StatisticsProvider(db)
     for workload in workloads:
         if workload.query is None:
             continue
-        diags = verify_query(db, workload.query, statistics=provider)
+        diags = verify_query(db, workload.query)
         assert errors_of(diags) == [], (
             f"{workload.qid}:\n{format_diagnostics(diags)}"
         )
         if workload.cardinality(db) > 0:
-            # A non-empty ground truth means every predicate matched at
-            # least one row, so even the domain warnings must stay quiet.
+            # A non-empty ground truth is a well-formed plan: even the
+            # warnings must stay quiet.
             assert diags == [], (
                 f"{workload.qid}:\n{format_diagnostics(diags)}"
             )
@@ -100,11 +98,8 @@ def test_corpus_scenario_intents_verify_clean():
             scenario = generate_scenario(entry.config)
         except ScenarioMaskError:
             continue
-        provider = StatisticsProvider(scenario.db)
         for intent in scenario.intents:
-            diags = verify_query(
-                scenario.db, intent.query, statistics=provider
-            )
+            diags = verify_query(scenario.db, intent.query)
             assert diags == [], (
                 f"{entry.entry_id} intent {intent.index}:\n"
                 f"{format_diagnostics(diags)}"

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import SquidConfig, discover_contexts
 from repro.core.base_query import (
+    _AliasAllocator,
     build_adb_query,
     build_base_query,
     build_original_query,
@@ -23,6 +24,44 @@ def filters_for(adb, entity, keys, attrs, config=None):
     for attr in attrs:
         out.extend(by_attr[attr])
     return out
+
+
+class _ReferenceAllocator:
+    """The original allocator: probes ``base_1, base_2, ...`` from 1 on
+    every call (quadratic, kept as the oracle)."""
+
+    def __init__(self):
+        self._used = set()
+
+    def fresh(self, base):
+        if base not in self._used:
+            self._used.add(base)
+            return base
+        i = 1
+        while f"{base}_{i}" in self._used:
+            i += 1
+        alias = f"{base}_{i}"
+        self._used.add(alias)
+        return alias
+
+    def reserve(self, name):
+        self._used.add(name)
+
+
+class TestAliasAllocator:
+    def test_matches_the_linear_probe_on_thousands_of_filters(self):
+        fast, reference = _AliasAllocator(), _ReferenceAllocator()
+        # Reserved names collide with suffixes the probe will reach,
+        # including one reserved after allocation has passed below it.
+        calls = [("reserve", "castinfo_7"), ("reserve", "castinfo_8")]
+        calls += [("fresh", "castinfo")] * 1500
+        calls += [("reserve", "castinfo_1600"), ("reserve", "castinfo_3")]
+        calls += [("fresh", "castinfo"), ("fresh", "movie")] * 1500
+        calls += [("fresh", "castinfo_2")] * 3
+        for op, name in calls:
+            got = getattr(fast, op)(name)
+            want = getattr(reference, op)(name)
+            assert got == want, (op, name)
 
 
 class TestBaseQuery:

@@ -35,17 +35,6 @@ TEXT = ColumnType.TEXT
 
 BACKEND_NAMES = available_backends()
 
-#: The equivalence sweep covers every registered engine plus both of the
-#: dispatch router's cost models (v2 estimator-driven is the default;
-#: ``dispatch-v1`` pins the fixed-heuristic baseline).
-EQUIVALENCE_BACKENDS = BACKEND_NAMES + ["dispatch-v1"]
-
-
-def make_backend(name, database):
-    if name == "dispatch-v1":
-        return create_backend("dispatch", database, use_estimator=False)
-    return create_backend(name, database)
-
 
 def _ref(alias, column):
     return ColumnRef(alias, column)
@@ -161,10 +150,10 @@ def suite_queries():
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend_name", EQUIVALENCE_BACKENDS)
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     def test_suite_matches_interpreted(self, backend_name, mini_movies_db):
         reference = InterpretedBackend(mini_movies_db)
-        backend = make_backend(backend_name, mini_movies_db)
+        backend = create_backend(backend_name, mini_movies_db)
         for query in suite_queries():
             expected = reference.execute(query)
             actual = backend.execute(query)
@@ -174,9 +163,9 @@ class TestBackendEquivalence:
                 # multiset semantics: row counts must also agree
                 assert len(actual) == len(expected)
 
-    @pytest.mark.parametrize("backend_name", EQUIVALENCE_BACKENDS)
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     def test_results_reflect_mutations(self, backend_name, people_db):
-        backend = make_backend(backend_name, people_db)
+        backend = create_backend(backend_name, people_db)
         query = Query(
             select=(_ref("person", "name"),),
             tables=(TableRef("person"),),
@@ -187,11 +176,11 @@ class TestBackendEquivalence:
         after = len(backend.execute(query))
         assert after == before + 1
 
-    @pytest.mark.parametrize("backend_name", EQUIVALENCE_BACKENDS)
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     def test_type_mismatched_constants(self, backend_name, people_db):
         """SQLite affinity must not coerce '50' to match an INT column,
         and mixed-type IN lists keep Python equality semantics."""
-        backend = make_backend(backend_name, people_db)
+        backend = create_backend(backend_name, people_db)
         string_on_int = Query(
             select=(_ref("person", "name"),),
             tables=(TableRef("person"),),
@@ -217,42 +206,8 @@ class TestBackendEquivalence:
             "interpreted",
             "vectorized",
             "sqlite",
-            "dispatch",
             "sharded",
         }
-
-    def test_dispatch_matches_vectorized(self, mini_movies_db):
-        """The router must be invisible: identical results to the
-        vectorized engine on the whole battery, with both engines
-        actually exercised across it."""
-        from repro.sql.engine.dispatch import DispatchBackend
-        from repro.sql.engine.vectorized import VectorizedBackend
-
-        dispatch = DispatchBackend(mini_movies_db, small_work_rows=8)
-        vectorized = VectorizedBackend(mini_movies_db)
-        for query in suite_queries():
-            assert (
-                dispatch.execute(query).as_set()
-                == vectorized.execute(query).as_set()
-            ), query
-        decisions = dispatch.stats()
-        assert decisions["interpreted"] > 0
-        assert decisions["vectorized"] > 0
-
-    def test_dispatch_routes_point_lookups_to_interpreted(self, people_db):
-        from repro.sql.engine.dispatch import DispatchBackend
-
-        dispatch = DispatchBackend(people_db, small_work_rows=0)
-        point = Query(
-            select=(_ref("person", "name"),),
-            tables=(TableRef("person"),),
-            predicates=(Predicate(_ref("person", "id"), Op.EQ, 1),),
-        )
-        scan = Query(select=(_ref("person", "name"),), tables=(TableRef("person"),))
-        assert dispatch.choose(point).name == "vectorized"  # threshold 0
-        dispatch.small_work_rows = 4
-        assert dispatch.choose(point).name == "interpreted"
-        assert dispatch.choose(scan).name == "vectorized"
 
 
 # ----------------------------------------------------------------------

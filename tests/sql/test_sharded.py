@@ -1,5 +1,5 @@
 """The sharded engine: forced fan-out equivalence, merge semantics,
-stamped state invalidation, pool lifecycle, and dispatch routing.
+stamped state invalidation and pool lifecycle.
 
 ``shard_min_rows=0`` forces every multi-alias block through the
 partition-parallel path regardless of size, so these tests exercise the
@@ -32,7 +32,6 @@ from repro.sql.ast import (
     TableRef,
 )
 from repro.sql.engine import create_backend
-from repro.sql.engine.dispatch import DispatchBackend
 from repro.sql.engine.sharded import ShardedVectorizedBackend
 
 INT, TEXT = ColumnType.INT, ColumnType.TEXT
@@ -189,53 +188,3 @@ class TestForcedFanOut:
             ShardedVectorizedBackend(star_db, shards=-1)
         with pytest.raises(ValueError):
             ShardedVectorizedBackend(star_db, shard_min_rows=-1)
-
-
-class TestDispatchSharding:
-    def test_wide_star_routes_to_sharded_tier(self, star_db):
-        dispatch = DispatchBackend(
-            star_db, small_work_rows=0, shards=2, shard_min_rows=1
-        )
-        wide = star_query(8)
-        assert dispatch.choose(wide).name == "sharded"
-        vectorized = create_backend("vectorized", star_db)
-        assert dispatch.execute(wide).rows == vectorized.execute(wide).rows
-        stats = dispatch.stats()
-        assert stats["sharded"] == 1
-        assert stats["sharded_sharded_blocks"] == 1
-        dispatch.close()
-
-    def test_narrow_blocks_stay_off_the_sharded_tier(self, star_db):
-        # High activation threshold: even past small_work_rows the block
-        # lacks the estimated work to justify fan-out.
-        dispatch = DispatchBackend(
-            star_db, small_work_rows=0, shard_min_rows=10**9
-        )
-        assert dispatch.choose(star_query(8)).name == "vectorized"
-        dispatch.close()
-
-    def test_cardinalities_restamp_after_mutation(self, star_db):
-        """Routing must see post-warm() mutations (stamped, not frozen)."""
-        dispatch = DispatchBackend(star_db, small_work_rows=50)
-        dispatch.warm()
-        scan = Query(
-            select=(ColumnRef("person", "name"),),
-            tables=(TableRef("person"),),
-        )
-        assert dispatch.choose(scan).name == "interpreted"  # 12 rows <= 50
-        refreshes = dispatch.stats()["cardinality_refreshes"]
-        star_db.bulk_load(
-            "person", [(100 + i, f"X{i:03d}") for i in range(100)]
-        )
-        assert dispatch.choose(scan).name == "vectorized"  # 112 rows > 50
-        assert dispatch.stats()["cardinality_refreshes"] > refreshes
-        dispatch.close()
-
-    def test_warm_primes_every_relation(self, star_db):
-        dispatch = DispatchBackend(star_db)
-        dispatch.warm()
-        refreshes = dispatch.stats()["cardinality_refreshes"]
-        assert refreshes == len(star_db.table_names())
-        dispatch.warm()  # stamps unchanged: no re-count
-        assert dispatch.stats()["cardinality_refreshes"] == refreshes
-        dispatch.close()

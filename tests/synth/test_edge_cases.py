@@ -1,5 +1,5 @@
 """Edge-case battery: hand-built pathological relations run through all
-five engines (byte-identity) and the parser/formatter round-trip.
+four engines (byte-identity) and the parser/formatter round-trip.
 
 Covers the shapes fuzzing is least likely to hit by chance: empty
 tables, single-row relations, all-NULL columns, duplicate rows under
@@ -42,7 +42,7 @@ INT, TEXT = ColumnType.INT, ColumnType.TEXT
 
 
 def assert_engines_agree(db: Database, query) -> bytes:
-    """All five engine routes must return byte-identical results."""
+    """All four engine routes must return byte-identical results."""
     reference = create_backend(REFERENCE_ENGINE, db).execute(query)
     expected = canonical_result(reference)
     for name in ENGINE_ORDER[1:]:

@@ -31,13 +31,13 @@ class TestParser:
             [
                 "discover", "--dataset", "imdb", "--examples", "A",
                 "--jobs", "4", "--executor", "process", "--stats",
-                "--backend", "dispatch",
+                "--backend", "sharded",
             ]
         )
         assert args.jobs == 4
         assert args.executor == "process"
         assert args.show_stats is True
-        assert args.backend == "dispatch"
+        assert args.backend == "sharded"
 
     def test_batch_args(self):
         args = build_parser().parse_args(
@@ -45,14 +45,18 @@ class TestParser:
         )
         assert args.input == "sets.txt"
         assert args.jobs == 2
-        assert args.persistent_pool is True
 
-    def test_no_persistent_pool_flag(self):
-        args = build_parser().parse_args(
-            ["batch", "--dataset", "adult", "--input", "s.txt",
-             "--no-persistent-pool"]
-        )
-        assert args.persistent_pool is False
+    @pytest.mark.parametrize(
+        "flag",
+        [["--no-persistent-pool"], ["--no-estimator"],
+         ["--sample-budget", "64"], ["--guard-factor", "2"],
+         ["--backend", "dispatch"]],
+    )
+    def test_retired_knobs_are_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["batch", "--dataset", "adult", "--input", "s.txt", *flag]
+            )
 
     def test_serve_args(self):
         args = build_parser().parse_args(
@@ -99,6 +103,41 @@ class TestCommands:
     def test_discover_empty_examples_fails(self, capsys):
         assert main(["discover", "--dataset", "adult", "--examples", " ; "]) == 2
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_discover_unknown_examples_exits_cleanly(self, capsys, jobs):
+        code = main(
+            [
+                "discover", "--dataset", "adult",
+                "--examples", "nobody-such-xyz;another-nobody",
+                "--jobs", jobs,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("discover: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_discover_too_many_examples_exits_cleanly(self, capsys):
+        examples = ";".join(f"Resident {i:06d}" for i in range(1, 200))
+        code = main(
+            ["discover", "--dataset", "adult", "--examples", examples]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("discover: ") and err.count("\n") == 1
+
+    def test_batch_too_many_examples_exits_cleanly(self, capsys, tmp_path):
+        input_file = tmp_path / "sets.txt"
+        input_file.write_text(
+            ";".join(f"Resident {i:06d}" for i in range(1, 200)) + "\n"
+        )
+        code = main(["batch", "--dataset", "adult", "--input", str(input_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("batch: ") and err.count("\n") == 1
+
     def test_discover_with_jobs_and_stats(self, capsys):
         code = main(
             [
@@ -124,7 +163,7 @@ class TestCommands:
         code = main(
             [
                 "batch", "--dataset", "adult", "--input", str(input_file),
-                "--jobs", "2", "--backend", "dispatch", "--stats",
+                "--jobs", "2", "--backend", "sharded", "--stats",
             ]
         )
         assert code == 0
