@@ -127,7 +127,6 @@ def test_batch_session_speedup(benchmark):
                     "sequential_s": round(sequential_seconds, 3),
                     "session_s": round(session_seconds, 3),
                     "speedup": round(speedup, 2),
-                    "probe_hits": stats.get("probe_hits", 0),
                     "probe_family_scans": stats.get("probe_family_scans", 0),
                 }
             ],

@@ -77,8 +77,8 @@ def main() -> None:
     )
     stats = session.stats()
     print(
-        f"probe maps      : {stats['probe_family_scans']} family scans "
-        f"served {stats['probe_hits']} probes"
+        f"probe maps      : {stats['probe_families']} family maps, "
+        f"{stats['probe_family_scans']} built"
     )
 
     # -- parallel fan-out: candidates run on a worker pool -------------

@@ -43,7 +43,7 @@ from .pipeline import (
     Stage,
 )
 from .recommend import Recommendation, borderline_decisions, recommend_examples
-from .session import BatchOutcome, DiscoverySession, ProbeCachingAdb
+from .session import BatchOutcome, DiscoverySession
 from .squid import DiscoveryResult, DiscoveryTimings, SquidSystem
 from .workers import (
     ForkWorkerPool,
@@ -80,7 +80,6 @@ __all__ = [
     "LookupStage",
     "PipelineContext",
     "PriorBreakdown",
-    "ProbeCachingAdb",
     "PropertyFamily",
     "QualifierSpec",
     "Recommendation",

@@ -12,6 +12,22 @@
 
 The αDB owns the (augmented) database, metadata, discovered families,
 statistics, and the indexes the online phase probes.
+
+**Probe maps.** The online phase's hottest call is the per-entity
+property probe (``entity_properties``: disambiguation scores profiles
+with it, context discovery issues it per family per example).  The αDB
+answers it from one map per family, ``entity key -> {value: θ}``, built
+by transposing the family's backing relation (the entity table, the
+fact table or the derived relation) in row order, plus one
+``dimension key -> label`` map per dimension label column.  Each map is
+stamped with the ``(uid, version)`` of the relation it mirrors; the
+stamp is compared when a map is fetched, and a map is (re)built on its
+first fetch after the stamp changed.  ``refresh`` therefore rebuilds
+nothing eagerly: a map whose relation was rematerialised or mutated is
+rebuilt by the next probe that needs it.  Every caller — sequential
+discovery, batch sessions, forked pool workers (which inherit the maps
+copy-on-write) and the interpreted reference — shares this one set.
+The returned dicts are shared; callers treat them as read-only.
 """
 
 from __future__ import annotations
@@ -28,6 +44,28 @@ from .discovery import DiscoveryResult, discover_families
 from .metadata import AdbMetadata, EntitySpec
 from .properties import FamilyKind, PropertyFamily
 from .statistics import StatisticsStore, compute_statistics
+
+#: entity key -> {value: θ} for one property family.
+FamilyMap = Dict[Any, Dict[Any, float]]
+
+#: (table the map mirrors, its (uid, version) at build, the map).
+_MapEntry = Tuple[str, Tuple[int, int], FamilyMap]
+
+_EMPTY: Dict[Any, float] = {}
+_MISSING = object()
+
+
+def _probe_table(family: PropertyFamily) -> str:
+    """The one relation a family's probe map is built from."""
+    if family.kind in (
+        FamilyKind.DIRECT_CATEGORICAL,
+        FamilyKind.DIRECT_NUMERIC,
+        FamilyKind.FK_DIM,
+    ):
+        return family.entity
+    if family.kind in (FamilyKind.FACT_DIM, FamilyKind.FACT_ATTR):
+        return family.fact_table
+    return family.derived_table
 
 
 @dataclass
@@ -76,6 +114,15 @@ class AbductionReadyDatabase:
         self._families_by_entity: Dict[str, List[PropertyFamily]] = {}
         for family in discovery.families:
             self._families_by_entity.setdefault(family.entity, []).append(family)
+        self._maps: Dict[Tuple[str, str], _MapEntry] = {}
+        self._label_maps: Dict[
+            Tuple[str, str], Tuple[Tuple[int, int], Dict[Any, Any]]
+        ] = {}
+        self.family_scans = 0
+        """Number of family maps built so far (first fetches and
+        rebuilds after a stamp change).  Builds take no lock: threads
+        that fault the same map in at once may each build it, and the
+        count may then miss one of them."""
 
     # ------------------------------------------------------------------
     # construction
@@ -152,12 +199,8 @@ class AbductionReadyDatabase:
         """Human-readable label for a value-reference family's value."""
         if not family.value_is_ref:
             return str(value)
-        relation = self.db.relation(family.dim_table)
-        rid = relation.lookup_pk(value)
-        if rid is None:
-            return str(value)
-        label = relation.value(rid, family.dim_label)
-        return str(label)
+        label = self.dim_labels(family).get(value, _MISSING)
+        return str(value) if label is _MISSING else str(label)
 
     def dim_value_for_label(self, family: PropertyFamily, label: str) -> Optional[Any]:
         """Inverse of :meth:`dim_label_of`: dimension key for a label."""
@@ -173,64 +216,106 @@ class AbductionReadyDatabase:
     # ------------------------------------------------------------------
     # per-entity property retrieval (the online phase's point queries)
     # ------------------------------------------------------------------
-    def entity_properties(
-        self, family: PropertyFamily, entity_key: Any
-    ) -> Dict[Any, float]:
-        """Property values (-> θ) of one entity under one family.
+    def family_map(self, family: PropertyFamily) -> FamilyMap:
+        """``entity key -> {value: θ}`` for every entity of one family.
 
         For basic families every present value maps to 1.0; for derived
-        families values map to their association strength.  This is the
-        point query the abduction phase issues per example per family.
+        families values map to their association strength.  The map is
+        built on the first fetch and rebuilt on the first fetch after
+        its relation's ``(uid, version)`` stamp changed.
         """
-        if family.kind in (FamilyKind.DIRECT_CATEGORICAL, FamilyKind.DIRECT_NUMERIC):
-            relation = self.db.relation(family.entity)
-            rid = relation.lookup_pk(entity_key)
-            if rid is None:
-                return {}
-            value = relation.value(rid, family.column)
-            return {} if value is None else {value: 1.0}
-        if family.kind is FamilyKind.FK_DIM:
-            relation = self.db.relation(family.entity)
-            rid = relation.lookup_pk(entity_key)
-            if rid is None:
-                return {}
-            value = relation.value(rid, family.fk_column)
-            return {} if value is None else {value: 1.0}
-        if family.kind in (FamilyKind.FACT_DIM, FamilyKind.FACT_ATTR):
-            index = self.db.hash_index(family.fact_table, family.fact_entity_col)
+        entry = self._maps.get(family.key)
+        if entry is not None:
+            table, stamp, data = entry
+            relation = self.db.relation(table)
+            if (relation.uid, relation.version) == stamp:
+                return data
+        return self._build_family_map(family)
+
+    def _build_family_map(self, family: PropertyFamily) -> FamilyMap:
+        table = _probe_table(family)
+        relation = self.db.relation(table)
+        stamp = (relation.uid, relation.version)
+        out: FamilyMap = {}
+        if family.kind in (
+            FamilyKind.DIRECT_CATEGORICAL,
+            FamilyKind.DIRECT_NUMERIC,
+            FamilyKind.FK_DIM,
+        ):
+            # Entity keys are the table's primary key.
+            value_column = (
+                family.fk_column
+                if family.kind is FamilyKind.FK_DIM
+                else family.column
+            )
+            keys = relation.column(relation.schema.primary_key)
+            values = relation.column(value_column)
+            for key, value in zip(keys, values):
+                if value is not None:
+                    out[key] = {value: 1.0}
+        elif family.kind in (FamilyKind.FACT_DIM, FamilyKind.FACT_ATTR):
             value_column = (
                 family.fact_dim_col
                 if family.kind is FamilyKind.FACT_DIM
                 else family.column
             )
-            dim_store = self.db.relation(family.fact_table).column(value_column)
-            out: Dict[Any, float] = {}
-            for rid in index.lookup(entity_key):
-                value = dim_store[rid]
-                if value is not None:
-                    out[value] = 1.0
-            return out
-        # derived families: probe the materialised relation
-        index = self.db.hash_index(family.derived_table, family.derived_entity_col)
-        relation = self.db.relation(family.derived_table)
-        value_store = relation.column(family.derived_value_col)
-        count_store = relation.column("count")
+            keys = relation.column(family.fact_entity_col)
+            values = relation.column(value_column)
+            for key, value in zip(keys, values):
+                if key is not None and value is not None:
+                    out.setdefault(key, {})[value] = 1.0
+        else:  # derived families: transpose the materialised relation
+            keys = relation.column(family.derived_entity_col)
+            values = relation.column(family.derived_value_col)
+            counts = relation.column("count")
+            for key, value, count in zip(keys, values, counts):
+                out.setdefault(key, {})[value] = float(count)
+        self._maps[family.key] = (table, stamp, out)
+        self.family_scans += 1
+        return out
+
+    def dim_labels(self, family: PropertyFamily) -> Dict[Any, Any]:
+        """``dimension key -> label`` of a value-reference family's
+        dimension table, stamped and rebuilt like :meth:`family_map`."""
+        slot = (family.dim_table, family.dim_label)
+        relation = self.db.relation(family.dim_table)
+        stamp = (relation.uid, relation.version)
+        entry = self._label_maps.get(slot)
+        if entry is not None and entry[0] == stamp:
+            return entry[1]
+        labels = dict(
+            zip(
+                relation.column(relation.schema.primary_key),
+                relation.column(family.dim_label),
+            )
+        )
+        self._label_maps[slot] = (stamp, labels)
+        return labels
+
+    def probe_stats(self) -> Dict[str, int]:
+        """Map builds so far and the number of family maps held."""
         return {
-            value_store[rid]: float(count_store[rid])
-            for rid in index.lookup(entity_key)
+            "probe_family_scans": self.family_scans,
+            "probe_families": len(self._maps),
         }
+
+    def entity_properties(
+        self, family: PropertyFamily, entity_key: Any
+    ) -> Dict[Any, float]:
+        """Property values (-> θ) of one entity under one family.
+
+        The point query the abduction phase issues per example per
+        family; an entity without the property gets an empty dict.
+        """
+        return self.family_map(family).get(entity_key, _EMPTY)
 
     def entity_properties_many(
         self, family: PropertyFamily, entity_keys: Sequence[Any]
     ) -> List[Dict[Any, float]]:
-        """Property values of several entities under one family.
-
-        The batch probe the context stage issues (one per family per
-        example set).  The base implementation just loops; the session's
-        :class:`~repro.core.session.ProbeCachingAdb` overrides it with
-        lookups into a materialised per-family map.
-        """
-        return [self.entity_properties(family, key) for key in entity_keys]
+        """Property values of several entities under one family: one map
+        fetch, then a dict hit per key."""
+        family_map = self.family_map(family)
+        return [family_map.get(key, _EMPTY) for key in entity_keys]
 
     def association_total(self, family: PropertyFamily, entity_key: Any) -> float:
         """Total association mass of an entity within a derived family.
@@ -239,8 +324,7 @@ class AbductionReadyDatabase:
         fraction of an actor's movies that are comedies is
         θ(value) / association_total.
         """
-        props = self.entity_properties(family, entity_key)
-        return float(sum(props.values()))
+        return float(sum(self.entity_properties(family, entity_key).values()))
 
     # ------------------------------------------------------------------
     # incremental maintenance (a §9 future direction)

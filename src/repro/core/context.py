@@ -107,13 +107,12 @@ def _family_contexts(
     shared = set(per_example[0])
     for props in per_example[1:]:
         shared &= set(props)
+    if config.normalize_association:
+        totals = [float(sum(props.values())) or 1.0 for props in per_example]
     out = []
     for value in sorted(shared, key=repr):
         thetas = [props[value] for props in per_example]
         if config.normalize_association:
-            totals = [
-                adb.association_total(family, key) or 1.0 for key in keys
-            ]
             thetas = [t / total for t, total in zip(thetas, totals)]
         out.append(
             SemanticProperty(
@@ -209,28 +208,19 @@ def _normalized_selectivity(
 
     The precomputed per-value strength arrays store raw counts, so the
     normalised variant recomputes the share of entities whose *fraction*
-    of associations to ``value`` is at least θ.  Derived relations are
-    small (one row per entity-value pair), so this stays cheap and is only
-    used in the case-study configuration.
+    of associations to ``value`` is at least θ, from the family's probe
+    map (one pass over its entities; only the case-study configuration
+    uses it).
     """
-    relation = adb.db.relation(family.derived_table)
-    entity_col = relation.column(family.derived_entity_col)
-    value_col = relation.column(family.derived_value_col)
-    count_col = relation.column("count")
-    totals: Dict[Any, float] = {}
-    hits: Dict[Any, float] = {}
-    for rid in relation.row_ids():
-        key = entity_col[rid]
-        count = float(count_col[rid])
-        totals[key] = totals.get(key, 0.0) + count
-        if value_col[rid] == value:
-            hits[key] = count
     n = adb.entity_count(family.entity)
     if n == 0:
         return 0.0
-    satisfied = sum(
-        1
-        for key, hit in hits.items()
-        if totals.get(key, 0.0) > 0 and hit / totals[key] >= theta
-    )
+    satisfied = 0
+    for props in adb.family_map(family).values():
+        hit = props.get(value)
+        if hit is None:
+            continue
+        total = float(sum(props.values()))
+        if total > 0 and hit / total >= theta:
+            satisfied += 1
     return satisfied / n

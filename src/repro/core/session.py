@@ -9,10 +9,13 @@ expensive to assemble:
 * the formatted-SQL-keyed **query-result cache** of the system's
   backend (shared automatically — all work units execute through the
   same backend instance);
-* the per-entity **property probes** (``adb.entity_properties``) that
-  dominate disambiguation and context discovery: example sets drawn from
-  the same workload overlap heavily in entities, so
-  :class:`ProbeCachingAdb` memoises the probes across the whole session.
+* the αDB's per-family **probe maps** (``adb.family_map``) that serve
+  disambiguation and context discovery: the session uses the system's
+  αDB itself, so its maps are the ones every other caller reads;
+  ``warm()`` builds them all before the pool forks, and each map
+  checks its relation's ``(uid, version)`` stamp when fetched, so a
+  mutated relation's map is rebuilt on the next probe with no
+  per-discovery revalidation pass.
 
 On top of the sharing, independent (example set × candidate base query)
 work units fan out across a configurable worker pool: ``jobs=N`` with
@@ -53,7 +56,6 @@ from .pipeline import (
     discover_sequential,
     select_best,
 )
-from .properties import FamilyKind, PropertyFamily
 from .workers import (
     ForkWorkerPool,
     WorkerPool,
@@ -63,203 +65,6 @@ from .workers import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .squid import SquidSystem
-
-
-_MISSING = object()
-
-
-def _probe_table(family: PropertyFamily) -> str:
-    """The one relation ``entity_properties`` reads for this family."""
-    if family.kind in (
-        FamilyKind.DIRECT_CATEGORICAL,
-        FamilyKind.DIRECT_NUMERIC,
-        FamilyKind.FK_DIM,
-    ):
-        return family.entity
-    if family.kind in (FamilyKind.FACT_DIM, FamilyKind.FACT_ATTR):
-        return family.fact_table
-    return family.derived_table
-
-
-class ProbeCachingAdb:
-    """Serve an αDB's per-entity point probes from materialised maps.
-
-    ``entity_properties(family, key)`` is the hot probe of the online
-    phase — disambiguation scores profiles with it and context discovery
-    calls it once per (family, example).  The αDB answers each probe
-    through hash-index machinery (index lookup + per-row dict build);
-    over a batch of example sets drawn from one workload the same
-    entities are probed again and again.
-
-    Instead of memoising probe-by-probe, the first probe of a *family*
-    transposes that family's backing relation once — one linear scan
-    building ``entity key -> {value: θ}`` for **every** entity — after
-    which all probes of the family are plain dict hits shared across the
-    whole session.  The scan costs what a handful of individual derived
-    probes cost, and the map's size is bounded by the relation it
-    mirrors.
-
-    Every other attribute transparently proxies to the wrapped αDB.
-    Family maps are stamped with the ``(uid, version)`` of the relation
-    they transpose, so base-data mutations invalidate them exactly like
-    the query-result cache.  Cached dicts are shared between callers;
-    the pipeline treats them as read-only.  Plain dict operations keep
-    the maps safe under the thread executor (worst case: one duplicated
-    scan).
-    """
-
-    _EMPTY: Dict[Any, float] = {}
-
-    def __init__(self, adb) -> None:
-        self._adb = adb
-        self._families: Dict[
-            Tuple[str, str], Tuple[Tuple[int, int], Dict[Any, Dict[Any, float]]]
-        ] = {}
-        self._dim_labels: Dict[str, Tuple[Tuple[int, int], Dict[Any, Any]]] = {}
-        self.hits = 0
-        self.family_scans = 0
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._adb, name)
-
-    @property
-    def wrapped(self):
-        """The underlying :class:`AbductionReadyDatabase`."""
-        return self._adb
-
-    def _family_map(self, family: PropertyFamily) -> Dict[Any, Dict[Any, float]]:
-        # Hot path: no stamp check per probe — staleness is handled at
-        # discovery boundaries by ``revalidate()`` (the pipeline itself
-        # never mutates base data mid-discovery).
-        entry = self._families.get(family.key)
-        if entry is not None:
-            return entry[1]
-        relation = self._adb.db.relation(_probe_table(family))
-        stamp = (relation.uid, relation.version)
-        self.family_scans += 1
-        out: Dict[Any, Dict[Any, float]] = {}
-        if family.kind in (
-            FamilyKind.DIRECT_CATEGORICAL,
-            FamilyKind.DIRECT_NUMERIC,
-            FamilyKind.FK_DIM,
-        ):
-            # Entity keys are the table's primary key (what lookup_pk
-            # resolves); transpose key column -> attribute column.
-            value_column = (
-                family.fk_column
-                if family.kind is FamilyKind.FK_DIM
-                else family.column
-            )
-            keys = relation.column(relation.schema.primary_key)
-            values = relation.column(value_column)
-            for key, value in zip(keys, values):
-                if value is not None:
-                    out[key] = {value: 1.0}
-        elif family.kind in (FamilyKind.FACT_DIM, FamilyKind.FACT_ATTR):
-            value_column = (
-                family.fact_dim_col
-                if family.kind is FamilyKind.FACT_DIM
-                else family.column
-            )
-            keys = relation.column(family.fact_entity_col)
-            values = relation.column(value_column)
-            for key, value in zip(keys, values):
-                if value is not None:
-                    out.setdefault(key, {})[value] = 1.0
-        else:  # derived families: transpose the materialised αDB relation
-            keys = relation.column(family.derived_entity_col)
-            values = relation.column(family.derived_value_col)
-            counts = relation.column("count")
-            for key, value, count in zip(keys, values, counts):
-                out.setdefault(key, {})[value] = float(count)
-        self._families[family.key] = (stamp, out)
-        return out
-
-    def entity_properties(self, family: PropertyFamily, entity_key: Any) -> Dict[Any, float]:
-        self.hits += 1
-        return self._family_map(family).get(entity_key, self._EMPTY)
-
-    def entity_properties_many(
-        self, family: PropertyFamily, entity_keys: Sequence[Any]
-    ) -> List[Dict[Any, float]]:
-        """Batch probe: one map fetch, then plain dict hits per key."""
-        family_map = self._family_map(family)
-        self.hits += len(entity_keys)
-        empty = self._EMPTY
-        return [family_map.get(key, empty) for key in entity_keys]
-
-    def association_total(self, family: PropertyFamily, entity_key: Any) -> float:
-        """Total association mass, served from the materialised map."""
-        return float(sum(self.entity_properties(family, entity_key).values()))
-
-    def dim_label_of(self, family: PropertyFamily, value: Any) -> str:
-        """Human-readable label, via a materialised dimension-label map."""
-        if not family.value_is_ref:
-            return str(value)
-        entry = self._dim_labels.get(family.dim_table)
-        if entry is None:
-            relation = self._adb.db.relation(family.dim_table)
-            labels = dict(
-                zip(
-                    relation.column(relation.schema.primary_key),
-                    relation.column(family.dim_label),
-                )
-            )
-            entry = ((relation.uid, relation.version), labels)
-            self._dim_labels[family.dim_table] = entry
-        label = entry[1].get(value, _MISSING)
-        return str(value) if label is _MISSING else str(label)
-
-    def warm_families(self) -> int:
-        """Materialise every family map up front; returns the count."""
-        count = 0
-        for spec in self._adb.metadata.entities:
-            for family in self._adb.families_for(spec.table):
-                self._family_map(family)
-                count += 1
-        return count
-
-    def revalidate(self) -> int:
-        """Drop family maps whose backing relation changed since the scan.
-
-        Called at every discovery boundary (once per batch / per single
-        discovery), so probes inside a discovery skip the per-call stamp
-        check.  Returns the number of maps dropped.
-        """
-        by_table: Dict[str, Tuple[int, int]] = {}
-
-        def current_stamp(table: str) -> Tuple[int, int]:
-            stamp = by_table.get(table)
-            if stamp is None:
-                relation = self._adb.db.relation(table)
-                stamp = (relation.uid, relation.version)
-                by_table[table] = stamp
-            return stamp
-
-        dropped = 0
-        for key, (stamp, _) in list(self._families.items()):
-            entity, attribute = key
-            family = self._adb.family(entity, attribute)
-            if stamp != current_stamp(_probe_table(family)):
-                del self._families[key]
-                dropped += 1
-        for table, (stamp, _) in list(self._dim_labels.items()):
-            if stamp != current_stamp(table):
-                del self._dim_labels[table]
-                dropped += 1
-        return dropped
-
-    def stats(self) -> Dict[str, int]:
-        """Probe/scan counters of the family-map cache.
-
-        ``probe_hits`` is deliberately unlocked (the probe is the online
-        phase's hottest call), so under thread fan-out it is a close
-        approximation, not an exact tally."""
-        return {
-            "probe_hits": self.hits,
-            "probe_family_scans": self.family_scans,
-            "probe_families": len(self._families),
-        }
 
 
 @dataclass
@@ -288,7 +93,7 @@ class DiscoverySession:
     """Discover many example sets in one call over a shared warm αDB.
 
     Construct directly or via :meth:`SquidSystem.session`.  The session
-    holds no mutable αDB state of its own beyond the probe memo, so one
+    holds no αDB state of its own (``adb`` is the system's αDB), so one
     system can serve many concurrent sessions.
     """
 
@@ -297,13 +102,12 @@ class DiscoverySession:
         system: "SquidSystem",
         jobs: Optional[int] = None,
         executor: Optional[str] = None,
-        share_probes: bool = True,
     ) -> None:
         self.system = system
         self.jobs = system.config.jobs if jobs is None else jobs
         self.executor = executor or system.config.executor
         validate_fanout(self.jobs, self.executor)
-        self.adb = ProbeCachingAdb(system.adb) if share_probes else system.adb
+        self.adb = system.adb
         self._backend = system.backend
         self.executor_used: Optional[str] = None
         """Pool flavour of the last parallel batch (None before one ran;
@@ -318,7 +122,6 @@ class DiscoverySession:
         self._pool: Optional[WorkerPool] = None
         self._pool_lock = threading.Lock()
         self._counter_lock = threading.Lock()
-        self._reval_lock = threading.Lock()
         self._async_executor: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------
@@ -327,15 +130,15 @@ class DiscoverySession:
     def warm(self, tables: Optional[Sequence[str]] = None) -> int:
         """Pre-build the αDB state discovery would fault in lazily.
 
-        Covers the relation layer's cached column/sorted views and — when
-        probe sharing is on — the per-family probe maps, so batch
-        workloads pay the one-time construction up front instead of
-        inside the first (timed) discovery.  Returns the number of views
-        and maps built or refreshed.  Unsortable object columns simply
-        have no sorted view (``sorted_view`` returns None) and are
-        skipped.
+        Covers the relation layer's cached column/sorted views and the
+        αDB's per-family probe maps, so batch workloads pay the one-time
+        construction up front instead of inside the first (timed)
+        discovery, and forked workers inherit them.  Returns the number
+        of views and maps built or refreshed.  Unsortable object columns
+        simply have no sorted view (``sorted_view`` returns None) and
+        are skipped.
         """
-        db = self.system.adb.db
+        db = self.adb.db
         names = list(tables) if tables is not None else db.table_names()
         built = 0
         for name in names:
@@ -344,8 +147,9 @@ class DiscoverySession:
                 relation.column_array(col.name)
                 relation.sorted_view(col.name)
                 built += 1
-        if isinstance(self.adb, ProbeCachingAdb):
-            built += self.adb.warm_families()
+        for family in self.adb.discovery.families:
+            self.adb.family_map(family)
+            built += 1
         return built
 
     # ------------------------------------------------------------------
@@ -406,7 +210,7 @@ class DiscoverySession:
 
     def _offload_executor(self) -> ThreadPoolExecutor:
         """Bounded executor for the async path's blocking fragments
-        (revalidation, lookup, and whole sequential discoveries)."""
+        (lookup and whole sequential discoveries)."""
         with self._pool_lock:
             if self._async_executor is None:
                 self._async_executor = ThreadPoolExecutor(
@@ -425,7 +229,6 @@ class DiscoverySession:
     ) -> DiscoveryResult:
         """One sequential discovery sharing this session's warm state."""
         config = config or self.system.config
-        self._revalidate_probes()
         return discover_sequential(self.adb, self._backend, examples, config)
 
     def discover_many(
@@ -443,7 +246,6 @@ class DiscoverySession:
         config = config or self.system.config
         sets = [list(s) for s in example_sets]
         start = time.perf_counter()
-        self._revalidate_probes()
         if self.jobs <= 1:
             outcomes = [self._discover_one(s, config) for s in sets]
         else:
@@ -453,13 +255,6 @@ class DiscoverySession:
             self.batches += 1
             self.sets_discovered += sum(1 for o in outcomes if o.ok)
         return outcomes
-
-    def _revalidate_probes(self) -> None:
-        """Probe-map revalidation at a discovery boundary (thread-safe:
-        concurrent async requests all hit this)."""
-        if isinstance(self.adb, ProbeCachingAdb):
-            with self._reval_lock:
-                self.adb.revalidate()
 
     def _discover_one(self, examples: List[str], config: SquidConfig) -> BatchOutcome:
         outcome = BatchOutcome(examples=examples)
@@ -553,8 +348,8 @@ class DiscoverySession:
     ) -> BatchOutcome:
         """One discovery as a coroutine; safe to run many concurrently.
 
-        The blocking fragments (probe revalidation, the shared lookup,
-        and — when no pool is active — the whole sequential discovery)
+        The blocking fragments (the shared lookup and — when no pool is
+        active — the whole sequential discovery)
         run on a bounded offload executor; candidate units go through the
         persistent worker pool, whose futures await natively.  Results
         are identical to :meth:`discover_many`: the async path changes
@@ -565,18 +360,13 @@ class DiscoverySession:
         loop = asyncio.get_running_loop()
         outcome = BatchOutcome(examples=examples)
         if self.jobs <= 1:
-            def run_sequential() -> BatchOutcome:
-                self._revalidate_probes()
-                return self._discover_one(examples, config)
-
             outcome = await loop.run_in_executor(
-                self._offload_executor(), run_sequential
+                self._offload_executor(), self._discover_one, examples, config
             )
             self._count_outcomes([outcome])
             return outcome
 
         def prepare() -> PipelineContext:
-            self._revalidate_probes()
             check_example_count(examples, config)
             ctx = PipelineContext(
                 adb=self.adb,
@@ -649,7 +439,7 @@ class DiscoverySession:
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Session counters: probe memo, query cache, engine routing."""
+        """Session counters: probe maps, query cache, engine routing."""
         out: Dict[str, Any] = {
             "batches": self.batches,
             "sets_discovered": self.sets_discovered,
@@ -657,8 +447,7 @@ class DiscoverySession:
             "jobs": self.jobs,
             "executor": self.executor_used or self.executor,
         }
-        if isinstance(self.adb, ProbeCachingAdb):
-            out.update(self.adb.stats())
+        out.update(self.adb.probe_stats())
         with self._pool_lock:
             pool = self._pool
         if pool is not None:

@@ -121,18 +121,12 @@ class SquidSystem:
         self,
         jobs: Optional[int] = None,
         executor: Optional[str] = None,
-        share_probes: bool = True,
     ) -> "DiscoverySession":
         """A batch discovery session over this system (see
         :class:`~repro.core.session.DiscoverySession`)."""
         from .session import DiscoverySession
 
-        return DiscoverySession(
-            self,
-            jobs=jobs,
-            executor=executor,
-            share_probes=share_probes,
-        )
+        return DiscoverySession(self, jobs=jobs, executor=executor)
 
     def _prune_redundant(self, entity, selected):
         """Occam's-razor pruning pass (delegates to the pipeline stage

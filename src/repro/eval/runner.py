@@ -9,8 +9,8 @@ share one implementation.
 The sweep drivers (``accuracy_curve``, ``scalability_curve``,
 ``squid_qre``) discover through a shared
 :class:`~repro.core.session.DiscoverySession` instead of looping over
-``SquidSystem.discover``: one warm αDB, one probe memo and one result
-cache serve every example set of the sweep, and a caller-provided
+``SquidSystem.discover``: one warm αDB (views and probe maps) and one
+result cache serve every example set of the sweep, and a caller-provided
 session (or ``SquidConfig(jobs=N)``) fans candidate work units across
 workers without changing any reported number.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..core.config import SquidConfig
 from ..core.lookup import ExampleLookupError
@@ -106,13 +106,13 @@ def accuracy_curve(
     All example sets of one size discover in one batch; the ground-truth
     keys are computed once for the whole curve instead of once per run.
     """
+    intended = workload.ground_truth_keys(squid.adb.db)
     if examples_override is not None:
         values = list(examples_override)
     else:
-        values = workload.ground_truth_examples(squid.adb.db)
+        values = workload.display_values(squid.adb.db, intended)
     session, owned = _session_for(squid, session)
     try:
-        intended = workload.ground_truth_keys(squid.adb.db)
         points: List[AccuracyPoint] = []
         for size in example_sizes:
             example_sets = sample_example_sets(
@@ -165,22 +165,33 @@ def scalability_curve(
     For each size, every workload's sampled example sets go through one
     batch discovery, so sorted-view construction and repeated entity
     probes amortise across the whole registry.  One untimed warm-up
-    batch (the first size's sets) runs before any size is timed, so the
-    first point does not pay the lazy view and index builds alone.
+    batch runs before any size is timed, so the first point does not
+    pay the lazy view and map builds alone.  The warm-up sets are drawn
+    at the first size with another seed, and any set that a timed size
+    also draws is dropped, so no timed set meets a warm result.
     """
-    batches: List[Tuple[int, List[List[str]]]] = []
-    for size in example_sizes:
+
+    pools = [workload.ground_truth_examples(squid.adb.db) for workload in registry]
+
+    def draw(size: int, draw_seed: int) -> List[List[str]]:
         example_sets: List[List[str]] = []
-        for workload in registry:
-            values = workload.ground_truth_examples(squid.adb.db)
+        for values in pools:
             example_sets.extend(
-                sample_example_sets(values, size, runs_per_size, seed)
+                sample_example_sets(values, size, runs_per_size, draw_seed)
             )
-        batches.append((size, example_sets))
+        return example_sets
+
+    batches = [(size, draw(size, seed)) for size in example_sizes]
+    timed = {frozenset(s) for _, example_sets in batches for s in example_sets}
+    warmup = (
+        [s for s in draw(example_sizes[0], seed + 1) if frozenset(s) not in timed]
+        if example_sizes
+        else []
+    )
     session, owned = _session_for(squid, session)
     try:
-        if batches:
-            for outcome in session.discover_many(batches[0][1]):
+        if warmup:
+            for outcome in session.discover_many(warmup):
                 _raise_unless_lookup_error(outcome)
         rows: List[Dict[str, Any]] = []
         for size, example_sets in batches:
@@ -269,7 +280,7 @@ def squid_qre(
     """Run SQuID in the closed-world setting: entire output as examples.
 
     Passing one session across many workloads shares the warm αDB views
-    and probe memo between their (large) whole-output example sets.
+    and probe maps between their (large) whole-output example sets.
     """
     config = config or SquidConfig.optimistic()
     session, owned = _session_for(squid, session)

@@ -83,36 +83,39 @@ def plan_joins(
 ) -> JoinPlan:
     """Replicates ``_join_all``'s greedy connected-smallest-first order."""
     aliases = list(alias_map)
-    start = min(aliases, key=estimated_size)
+    # A stable sort once: filtering it keeps the smallest-first order
+    # (ties in alias order) that sorting the unbound aliases gives.
+    by_size = sorted(aliases, key=estimated_size)
+    start = by_size[0]
     bound = {start}
-    remaining = list(range(len(query.joins)))
+    joins = query.joins
+    touching: Dict[str, List[int]] = {alias: [] for alias in aliases}
+    for i, join in enumerate(joins):
+        for alias in {join.left.table, join.right.table}:
+            if alias in touching:
+                touching[alias].append(i)
+    alive = [True] * len(joins)
     raw_steps: List[Tuple[str, Tuple[int, ...]]] = []
     while len(bound) < len(aliases):
-        chosen: Optional[str] = None
+        unbound = [a for a in by_size if a not in bound]
+        chosen = unbound[0]
         connecting: List[int] = []
-        for alias in sorted(
-            (a for a in aliases if a not in bound), key=estimated_size
-        ):
+        for alias in unbound:
             connecting = [
                 i
-                for i in remaining
-                if query.joins[i].touches(alias)
-                and query.joins[i].other_side(alias).table in bound
+                for i in touching[alias]
+                if alive[i] and joins[i].other_side(alias).table in bound
             ]
             if connecting:
                 chosen = alias
                 break
-        if chosen is None:
-            chosen = min((a for a in aliases if a not in bound), key=estimated_size)
-            connecting = []
         raw_steps.append((chosen, tuple(connecting)))
         bound.add(chosen)
-        # Value-based removal (not index-based): duplicate join
-        # conditions must all leave the pool together, exactly as the
-        # original ``j not in connecting`` filter removed them.
-        consumed = [query.joins[i] for i in connecting]
-        remaining = [i for i in remaining if query.joins[i] not in consumed]
-    residuals = tuple(remaining)
+        # Equal (duplicated) join conditions touch the same aliases, so
+        # they always connect, and leave the pool, together.
+        for i in connecting:
+            alive[i] = False
+    residuals = tuple(i for i, live in enumerate(alive) if live)
 
     # Liveness: the last stage each alias is referenced at.  Stage k is
     # step k; stage len(steps) covers residual joins and the final

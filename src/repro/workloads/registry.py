@@ -60,7 +60,11 @@ class Workload:
         are *not* in the result are kept — SQuID's disambiguation is
         expected to handle them (Fig. 12 relies on this).
         """
-        keys = self.ground_truth_keys(db)
+        return self.display_values(db, self.ground_truth_keys(db))
+
+    def display_values(self, db: Database, keys: Set[Any]) -> List[str]:
+        """Display values of ``keys`` in ``repr`` order of the key, empty
+        or missing displays skipped (see :meth:`ground_truth_examples`)."""
         relation = db.relation(self.entity_table)
         key_store = relation.column(self.entity_key)
         display_store = relation.column(self.display)

@@ -5,7 +5,33 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SquidConfig, discover_contexts
+from repro.core.context import _normalized_selectivity
 from repro.core.properties import FamilyKind
+
+
+def scanned_normalized_selectivity(adb, family, value, theta):
+    """Reference: one Python pass over the derived relation's rows."""
+    relation = adb.db.relation(family.derived_table)
+    entity_col = relation.column(family.derived_entity_col)
+    value_col = relation.column(family.derived_value_col)
+    count_col = relation.column("count")
+    totals = {}
+    hits = {}
+    for rid in relation.row_ids():
+        key = entity_col[rid]
+        count = float(count_col[rid])
+        totals[key] = totals.get(key, 0.0) + count
+        if value_col[rid] == value:
+            hits[key] = count
+    n = adb.entity_count(family.entity)
+    if n == 0:
+        return 0.0
+    satisfied = sum(
+        1
+        for key, hit in hits.items()
+        if totals.get(key, 0.0) > 0 and hit / totals[key] >= theta
+    )
+    return satisfied / n
 
 
 def contexts_by_attr(context_set):
@@ -128,3 +154,33 @@ class TestNormalizedAssociation:
         (filt,) = comedy
         # fraction >= 0.75 holders: Jim (0.75), Eddie (1.0) of 6 persons
         assert filt.selectivity == pytest.approx(2 / 6)
+
+    def test_selectivity_matches_row_scan(self, mini_adb):
+        config = SquidConfig(normalize_association=True, tau_a=0.3)
+        checked = 0
+        for keys in ([1, 2], [3, 4], [5, 6], [1, 5], [2, 3, 4]):
+            cs = discover_contexts(mini_adb, "person", keys, config)
+            for ctx, filt in zip(cs.contexts, cs.filters):
+                family = ctx.prop.family
+                if not family.kind.is_derived or ctx.prop.theta is None:
+                    continue
+                assert filt.selectivity == scanned_normalized_selectivity(
+                    mini_adb, family, ctx.prop.value, ctx.prop.theta
+                )
+                checked += 1
+        assert checked > 0
+
+    def test_selectivity_sweep_matches_row_scan(self, mini_adb):
+        for family in mini_adb.discovery.families:
+            if not family.kind.is_derived:
+                continue
+            stats = mini_adb.statistics.get(family)
+            relation = mini_adb.db.relation(family.derived_table)
+            values = relation.distinct_values(family.derived_value_col)
+            for value in values + [-1]:
+                for theta in (0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9, 1.0):
+                    assert _normalized_selectivity(
+                        mini_adb, family, value, theta, stats
+                    ) == scanned_normalized_selectivity(
+                        mini_adb, family, value, theta
+                    ), (family.key, value, theta)

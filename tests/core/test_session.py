@@ -8,11 +8,12 @@ import pytest
 
 from repro.core import (
     DiscoverySession,
-    ProbeCachingAdb,
     SquidConfig,
     SquidSystem,
 )
 from repro.core.lookup import ExampleLookupError
+
+from .test_probe_maps import indexed_label, indexed_properties
 
 EXAMPLE_SETS = [
     ["Jim Carrey", "Eddie Murphy"],
@@ -81,7 +82,8 @@ class TestBatchDiscovery:
         stats = session.stats()
         assert stats["batches"] == 2
         assert stats["sets_discovered"] == 2 * len(EXAMPLE_SETS)
-        assert stats["probe_hits"] > 0
+        assert stats["probe_family_scans"] > 0
+        assert stats["probe_families"] > 0
         assert stats["last_batch_wall_seconds"] > 0
 
     def test_stats_expose_engine_routing_counters(self, mini_adb):
@@ -103,7 +105,8 @@ class TestBatchDiscovery:
         session = DiscoverySession(mini_squid)
         result = session.discover(["Jim Carrey", "Eddie Murphy"])
         assert result.sql == mini_squid.discover(["Jim Carrey", "Eddie Murphy"]).sql
-        assert session.adb.stats()["probe_hits"] > 0
+        assert session.adb is mini_squid.adb
+        assert session.adb.probe_stats()["probe_family_scans"] > 0
 
     def test_warm_builds_views(self, mini_squid):
         session = DiscoverySession(mini_squid)
@@ -119,40 +122,39 @@ class TestBatchDiscovery:
         session = mini_squid.session(jobs=2)
         assert isinstance(session, DiscoverySession)
         assert session.jobs == 2
-        assert isinstance(session.adb, ProbeCachingAdb)
-        plain = mini_squid.session(share_probes=False)
-        assert plain.adb is mini_squid.adb
+        assert session.adb is mini_squid.adb
 
 
 class TestProbeCachingAdb:
+    """The αDB's stamped per-family probe maps, reached through a
+    session (whose ``adb`` is the system's αDB)."""
+
     def test_probe_parity_across_all_families(self, mini_squid):
-        """The materialised family maps must answer every probe exactly
-        like the αDB's index-backed implementation."""
-        adb = mini_squid.adb
-        proxy = ProbeCachingAdb(adb)
+        """The family maps must answer every probe exactly like an
+        index-backed probe of the relation they mirror."""
+        adb = DiscoverySession(mini_squid).adb
         for spec in adb.metadata.entities:
             relation = adb.db.relation(spec.table)
             keys = list(relation.column(relation.schema.primary_key))
             for family in adb.families_for(spec.table):
                 for key in keys + ["missing-key"]:
-                    assert proxy.entity_properties(family, key) == \
-                        adb.entity_properties(family, key), (family, key)
-                    assert proxy.association_total(family, key) == \
-                        adb.association_total(family, key)
+                    want = indexed_properties(adb, family, key)
+                    assert adb.entity_properties(family, key) == want, (family, key)
+                    assert adb.association_total(family, key) == \
+                        float(sum(want.values()))
 
     def test_bulk_probe_parity(self, mini_squid):
-        adb = mini_squid.adb
-        proxy = ProbeCachingAdb(adb)
+        adb = DiscoverySession(mini_squid).adb
         for spec in adb.metadata.entities:
             relation = adb.db.relation(spec.table)
             keys = list(relation.column(relation.schema.primary_key))[:4]
             for family in adb.families_for(spec.table):
-                assert proxy.entity_properties_many(family, keys) == \
-                    adb.entity_properties_many(family, keys)
+                assert adb.entity_properties_many(family, keys) == [
+                    indexed_properties(adb, family, key) for key in keys
+                ]
 
     def test_dim_label_parity(self, mini_squid):
-        adb = mini_squid.adb
-        proxy = ProbeCachingAdb(adb)
+        adb = DiscoverySession(mini_squid).adb
         for spec in adb.metadata.entities:
             for family in adb.families_for(spec.table):
                 if not family.value_is_ref:
@@ -160,29 +162,25 @@ class TestProbeCachingAdb:
                 dim = adb.db.relation(family.dim_table)
                 values = list(dim.column(dim.schema.primary_key)) + [987654]
                 for value in values:
-                    assert proxy.dim_label_of(family, value) == adb.dim_label_of(
-                        family, value
+                    assert adb.dim_label_of(family, value) == indexed_label(
+                        adb, family, value
                     )
 
-    def test_delegates_unknown_attributes(self, mini_squid):
-        proxy = ProbeCachingAdb(mini_squid.adb)
-        assert proxy.config is mini_squid.adb.config
-        assert proxy.wrapped is mini_squid.adb
-
     def test_mutation_invalidates_after_revalidate(self, mini_movies_db, mini_squid):
+        """A base-table insert shows on the very next probe: the map's
+        stamp no longer matches, so the fetch rebuilds it."""
         adb = mini_squid.adb
-        proxy = ProbeCachingAdb(adb)
         family = next(
             f for f in adb.families_for("person") if f.attribute == "gender"
         )
-        before = proxy.entity_properties(family, 1)
-        assert before == adb.entity_properties(family, 1)
+        before = adb.entity_properties(family, 1)
+        assert before == indexed_properties(adb, family, 1)
+        scans = adb.family_scans
         mini_movies_db.insert("person", (99, "New Person", "Female", 1990))
-        # without revalidation the stale map still answers
-        assert proxy.entity_properties(family, 99) == {}
-        dropped = proxy.revalidate()
-        assert dropped >= 1
-        assert proxy.entity_properties(family, 99) == {"Female": 1.0}
+        assert adb.entity_properties(family, 99) == {"Female": 1.0}
+        assert adb.family_scans == scans + 1
+        assert adb.entity_properties(family, 1) == before
+        assert adb.family_scans == scans + 1
 
     def test_batch_revalidates_automatically(self, mini_movies_db, mini_squid):
         session = DiscoverySession(mini_squid)
@@ -193,8 +191,7 @@ class TestProbeCachingAdb:
             if f.attribute == "gender"
         )
         mini_movies_db.insert("person", (98, "Someone New", "Female", 1970))
-        # between batches the stale map still answers...
-        assert session.adb.entity_properties(family, 98) == {}
-        # ...but the next batch boundary revalidates it
+        # no batch boundary needed: the next probe sees the new row
+        assert session.adb.entity_properties(family, 98) == {"Female": 1.0}
         session.discover_many([["Jim Carrey"]])
         assert session.adb.entity_properties(family, 98) == {"Female": 1.0}

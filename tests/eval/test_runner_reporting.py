@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.core import SquidConfig, SquidSystem
+from repro.core import DiscoverySession, SquidConfig, SquidSystem
 from repro.datasets import adult
 from repro.eval import (
     accuracy_curve,
@@ -65,6 +65,26 @@ class TestScalabilityCurve:
         rows = scalability_curve(squid, registry, [3, 6], runs_per_size=1)
         assert len(rows) == 2
         assert all(row["mean_seconds"] > 0 for row in rows)
+
+    def test_warmup_shares_no_set_with_timed_sizes(self, adult_setup):
+        db, squid, registry = adult_setup
+        recorded = []
+
+        class Recording(DiscoverySession):
+            def discover_many(self, example_sets, config=None):
+                recorded.append([frozenset(s) for s in example_sets])
+                return super().discover_many(example_sets, config)
+
+        session = Recording(squid)
+        sizes = [3, 6, 9]
+        rows = scalability_curve(
+            squid, registry, sizes, runs_per_size=2, session=session
+        )
+        assert len(rows) == len(sizes)
+        warmup, *timed = recorded
+        assert len(timed) == len(sizes)
+        assert warmup
+        assert not set(warmup) & {s for batch in timed for s in batch}
 
 
 class TestQueryRuntime:
