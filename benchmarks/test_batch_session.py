@@ -5,12 +5,13 @@ example-set sizes × ``runs_per_size`` sampled sets) runs twice over
 identically-generated, separately-built αDBs:
 
 * **sequential** — the pre-session control flow: one ``evaluate_once``
-  per sampled set, each run re-discovering from a cold start and
-  re-computing the workload's ground-truth keys;
+  per sampled set, each run a separate ``SquidSystem.discover`` (the
+  αDB's probe maps and column views fill in lazily on first use) that
+  re-computes the workload's ground-truth keys;
 * **session**   — the refactored driver: one warm
-  :class:`~repro.core.session.DiscoverySession` serves every set,
-  sharing the materialised family probe maps, column/sorted views and
-  the query-result cache, with ground truth computed once per curve.
+  :class:`~repro.core.session.DiscoverySession` serves every set;
+  ``warm()`` builds the αDB's family probe maps and column/sorted views
+  up front, and ground truth is computed once per curve.
 
 Both sides produce identical accuracy numbers (asserted); the session
 side must be measurably faster.  The ≥1.3x floor is enforced at the
@@ -18,12 +19,24 @@ side must be measurably faster.  The ≥1.3x floor is enforced at the
 just record the ratio.  A second case pins ``jobs=1`` / ``jobs=2``
 agreement on the same workload, so the parallel fan-out path stays
 output-identical to the reference loop.
+
+The speedup compares the median time of each side over ``ROUNDS``
+paired rounds (the side that runs first alternates), every round on
+freshly built systems.  Each timed side starts from a collected heap
+with the objects alive before it frozen out of the cyclic collector
+(:func:`gc.freeze`), so neither side pays for full collections over
+garbage the other side left behind or over the rest of the test
+process; collections of what the timed side itself allocates still
+count.
 """
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
-from typing import Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Tuple
 
 import pytest
 
@@ -41,6 +54,7 @@ EXAMPLE_SIZES = (2, 4, 6)
 RUNS_PER_SIZE = 10
 SEED = 7
 SPEEDUP_FLOOR = 1.3
+ROUNDS = 5
 
 
 def _fresh_system() -> SquidSystem:
@@ -49,25 +63,41 @@ def _fresh_system() -> SquidSystem:
     return SquidSystem.build(imdb.generate(size), imdb.metadata(), SquidConfig())
 
 
+@contextmanager
+def _quiet_heap() -> Iterator[None]:
+    """Collect, then keep every object alive so far out of the cyclic
+    collector until the block ends."""
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 def _sequential_curves(squid: SquidSystem) -> Tuple[Dict, float]:
     """The historical loop: evaluate_once per sampled example set."""
     registry = imdb_queries.build_registry()
     scores: Dict[Tuple[str, int], List[float]] = {}
-    start = time.perf_counter()
-    for workload in registry:
-        values = workload.ground_truth_examples(squid.adb.db)
-        for size in EXAMPLE_SIZES:
-            for examples in sample_example_sets(
-                values, size, RUNS_PER_SIZE, SEED
-            ):
-                # Same error policy as the session arm: lookup misses are
-                # skipped, anything else must fail the benchmark loudly.
-                try:
-                    score, _, _ = evaluate_once(squid, workload, examples)
-                except ExampleLookupError:
-                    continue
-                scores.setdefault((workload.qid, size), []).append(score.f_score)
-    elapsed = time.perf_counter() - start
+    with _quiet_heap():
+        start = time.perf_counter()
+        for workload in registry:
+            values = workload.ground_truth_examples(squid.adb.db)
+            for size in EXAMPLE_SIZES:
+                for examples in sample_example_sets(
+                    values, size, RUNS_PER_SIZE, SEED
+                ):
+                    # Same error policy as the session arm: lookup misses
+                    # are skipped, anything else must fail the benchmark
+                    # loudly.
+                    try:
+                        score, _, _ = evaluate_once(squid, workload, examples)
+                    except ExampleLookupError:
+                        continue
+                    scores.setdefault((workload.qid, size), []).append(
+                        score.f_score
+                    )
+        elapsed = time.perf_counter() - start
     means = {
         key: sum(values) / len(values) for key, values in scores.items()
     }
@@ -79,43 +109,48 @@ def _session_curves(squid: SquidSystem) -> Tuple[Dict, float, Dict]:
     registry = imdb_queries.build_registry()
     session = DiscoverySession(squid)
     means: Dict[Tuple[str, int], float] = {}
-    start = time.perf_counter()
-    session.warm()
-    for workload in registry:
-        points = accuracy_curve(
-            squid,
-            workload,
-            EXAMPLE_SIZES,
-            runs_per_size=RUNS_PER_SIZE,
-            seed=SEED,
-            session=session,
-        )
-        for point in points:
-            means[(workload.qid, point.num_examples)] = point.f_score
-    elapsed = time.perf_counter() - start
+    with _quiet_heap():
+        start = time.perf_counter()
+        session.warm()
+        for workload in registry:
+            points = accuracy_curve(
+                squid,
+                workload,
+                EXAMPLE_SIZES,
+                runs_per_size=RUNS_PER_SIZE,
+                seed=SEED,
+                session=session,
+            )
+            for point in points:
+                means[(workload.qid, point.num_examples)] = point.f_score
+        elapsed = time.perf_counter() - start
     return means, elapsed, session.stats()
 
 
 @pytest.mark.benchmark(group="batch-session")
 def test_batch_session_speedup(benchmark):
     def run():
-        sequential_scores, sequential_seconds = _sequential_curves(
-            _fresh_system()
-        )
-        session_scores, session_seconds, stats = _session_curves(
-            _fresh_system()
-        )
-        return sequential_scores, sequential_seconds, session_scores, \
-            session_seconds, stats
+        sequential_runs, session_runs = [], []
+        for round_no in range(ROUNDS):
+            sides = [
+                lambda: sequential_runs.append(
+                    _sequential_curves(_fresh_system())
+                ),
+                lambda: session_runs.append(_session_curves(_fresh_system())),
+            ]
+            if round_no % 2:
+                sides.reverse()
+            for side in sides:
+                side()
+        return sequential_runs, session_runs
 
-    (
-        sequential_scores,
-        sequential_seconds,
-        session_scores,
-        session_seconds,
-        stats,
-    ) = benchmark.pedantic(run, rounds=1, iterations=1)
-
+    sequential_runs, session_runs = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
+    sequential_scores = sequential_runs[0][0]
+    session_scores, _, stats = session_runs[0]
+    sequential_seconds = statistics.median(t for _, t in sequential_runs)
+    session_seconds = statistics.median(t for _, t, _ in session_runs)
     speedup = sequential_seconds / session_seconds
     emit(
         "batch_session",
@@ -124,6 +159,7 @@ def test_batch_session_speedup(benchmark):
                 {
                     "profile": PROFILE,
                     "curves": len(session_scores),
+                    "rounds": ROUNDS,
                     "sequential_s": round(sequential_seconds, 3),
                     "session_s": round(session_seconds, 3),
                     "speedup": round(speedup, 2),
@@ -139,6 +175,9 @@ def test_batch_session_speedup(benchmark):
     assert session_scores.keys() == sequential_scores.keys()
     for key, mean in sequential_scores.items():
         assert session_scores[key] == pytest.approx(mean), key
+    # Every round computes the same numbers as the first.
+    assert all(scores == sequential_scores for scores, _ in sequential_runs)
+    assert all(scores == session_scores for scores, _, _ in session_runs)
     if PROFILE == "medium":
         assert speedup >= SPEEDUP_FLOOR, (
             f"batch session {session_seconds:.3f}s vs sequential "

@@ -68,6 +68,13 @@ class _AliasAllocator:
     def reserve(self, name: str) -> None:
         self._used.add(name)
 
+    def copy(self) -> "_AliasAllocator":
+        """An independent allocator that continues from this state."""
+        other = _AliasAllocator()
+        other._used = set(self._used)
+        other._next = dict(self._next)
+        return other
+
 
 def build_adb_query(
     adb: AbductionReadyDatabase,
@@ -211,20 +218,27 @@ def build_original_query(
     """
     basic = [f for f in filters if f.family.kind.is_basic]
     derived = [f for f in filters if f.family.kind.is_derived]
+    # Every block starts with the same basic part: build it once.
+    shared = _basic_part(adb, entity, basic)
     if not derived:
-        return _original_block(adb, entity, basic, None)
-    blocks = [_original_block(adb, entity, basic, agg) for agg in derived]
+        return _original_block(adb, entity, shared, None)
+    blocks = [_original_block(adb, entity, shared, agg) for agg in derived]
     if len(blocks) == 1:
         return blocks[0]
     return IntersectQuery(tuple(blocks))
 
 
-def _original_block(
+_BasicPart = Tuple[
+    _AliasAllocator, List[TableRef], List[JoinCondition], List[Predicate]
+]
+
+
+def _basic_part(
     adb: AbductionReadyDatabase,
     entity: EntitySpec,
     basic: Sequence[Filter],
-    aggregate: Optional[Filter],
-) -> Query:
+) -> _BasicPart:
+    """Aliases, tables, joins and predicates of the basic filters."""
     aliases = _AliasAllocator()
     aliases.reserve(entity.table)
     tables: List[TableRef] = [TableRef(entity.table)]
@@ -292,7 +306,19 @@ def _original_block(
                     adb.dim_label_of(family, prop.value),
                 )
             )
+    return aliases, tables, joins, predicates
 
+
+def _original_block(
+    adb: AbductionReadyDatabase,
+    entity: EntitySpec,
+    shared: _BasicPart,
+    aggregate: Optional[Filter],
+) -> Query:
+    """One block: the shared basic part plus an optional aggregate."""
+    aliases = shared[0].copy()
+    tables, joins, predicates = list(shared[1]), list(shared[2]), list(shared[3])
+    entity_key_ref = ColumnRef(entity.table, entity.key)
     group_by: Tuple[ColumnRef, ...] = ()
     having: Optional[HavingCount] = None
     if aggregate is not None:

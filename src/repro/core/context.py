@@ -74,7 +74,7 @@ def _family_contexts(
 ) -> List[SemanticProperty]:
     """Contexts contributed by a single property family."""
     per_example = adb.entity_properties_many(family, keys)
-    if any(not props for props in per_example):
+    if not all(per_example):
         # some example lacks the property entirely -> no valid filter here
         return []
 

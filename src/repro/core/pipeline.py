@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, List, Optional, Sequence
 
 from ..sql.ast import AnyQuery, Query
@@ -300,10 +300,12 @@ class ConstructionStage(Stage):
         if ctx.config.prune_redundant_filters and len(selected) > 1:
             selected = prune_redundant(ctx.adb, ctx.backend, entity, selected)
         ctx.selected = list(selected)
-        ctx.query = build_adb_query(ctx.adb, entity, selected)
         ctx.keyed_query = build_adb_query(
             ctx.adb, entity, selected, select_key=True
         )
+        # The display query is the keyed one without its leading key
+        # column: same tables, aliases, joins and predicates.
+        ctx.query = replace(ctx.keyed_query, select=ctx.keyed_query.select[1:])
         ctx.original_query = build_original_query(ctx.adb, entity, selected)
 
 

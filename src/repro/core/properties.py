@@ -48,13 +48,7 @@ class FamilyKind(enum.Enum):
     @property
     def is_basic(self) -> bool:
         """Basic properties have θ = ⊥ (Section 3.1)."""
-        return self in (
-            FamilyKind.DIRECT_CATEGORICAL,
-            FamilyKind.DIRECT_NUMERIC,
-            FamilyKind.FK_DIM,
-            FamilyKind.FACT_DIM,
-            FamilyKind.FACT_ATTR,
-        )
+        return self in _BASIC_KINDS
 
     @property
     def is_derived(self) -> bool:
@@ -65,6 +59,17 @@ class FamilyKind(enum.Enum):
     def is_numeric(self) -> bool:
         """Whether property values are numeric ranges."""
         return self is FamilyKind.DIRECT_NUMERIC
+
+
+_BASIC_KINDS = frozenset(
+    {
+        FamilyKind.DIRECT_CATEGORICAL,
+        FamilyKind.DIRECT_NUMERIC,
+        FamilyKind.FK_DIM,
+        FamilyKind.FACT_DIM,
+        FamilyKind.FACT_ATTR,
+    }
+)
 
 
 @dataclass(frozen=True)

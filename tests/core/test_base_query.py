@@ -175,6 +175,22 @@ class TestOriginalQueryConstruction:
             execute(mini_movies_db, orig_query).single_column()
         )
 
+    def test_intersect_blocks_equal_single_aggregate_queries(self, mini_adb):
+        # Every INTERSECT block is the query the basic filters plus that
+        # one aggregate filter give on their own (the shared basic part
+        # is built once and each block continues its alias allocation).
+        entity = mini_adb.metadata.entity("movie")
+        filters = discover_contexts(mini_adb, "movie", [7, 8]).filters
+        basic = [f for f in filters if f.family.kind.is_basic]
+        derived = [f for f in filters if f.family.kind.is_derived]
+        assert basic and len(derived) >= 2
+        query = build_original_query(mini_adb, entity, basic + derived)
+        assert isinstance(query, IntersectQuery)
+        assert query.blocks == tuple(
+            build_original_query(mini_adb, entity, basic + [agg])
+            for agg in derived
+        )
+
     def test_fact_attr_block(self, academics_squid):
         adb = academics_squid.adb
         entity = adb.metadata.entity("academics")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SquidConfig
+from repro.core.base_query import build_adb_query
 from repro.core.lookup import ExampleLookupError, lookup_examples
 from repro.core.pipeline import (
     CANDIDATE_STAGES,
@@ -139,6 +140,19 @@ class TestAbductionAndConstruction:
         result = ctx.to_result()
         assert result.sql.startswith("SELECT DISTINCT person.name")
         assert result.log_posterior == ctx.abduction.log_posterior()
+
+    def test_construction_queries_match_the_builders(self, mini_squid):
+        ctx = self.run_through(
+            mini_squid,
+            ["Jim Carrey", "Eddie Murphy"],
+            list(CANDIDATE_STAGES),
+        )
+        entity = ctx.match.entity
+        adb = mini_squid.adb
+        assert ctx.keyed_query == build_adb_query(
+            adb, entity, ctx.selected, select_key=True
+        )
+        assert ctx.query == build_adb_query(adb, entity, ctx.selected)
 
     def test_run_candidate_equals_stagewise(self, mini_squid):
         examples = ["Jim Carrey", "Eddie Murphy"]
